@@ -152,28 +152,150 @@ TEST(Metrics, DeadLettersAlwaysAccounted) {
 }
 
 TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
+  // Drives every scalar counter to a distinct non-zero value, so a
+  // renamed, reordered or swapped key changes the pinned text below.
   auto build = [] {
     Metrics m;
     m.enable_detail();
-    Message a = msg("ba/1/coin/first", 3);
+    Message a = msg("ba/1/coin/first", 61);
     a.causal_depth = 2;
     m.record_send(a, true);
     m.record_delivery(a, 6);
-    m.record_send(msg("ba/1/a1/init", 2), true);
+    m.record_send(msg("ba/1/a1/init", 62), true);
+    for (int i = 0; i < 20; ++i) m.record_send(msg("x/echo", 3), false);
+    Message r = msg("ba/1/a1/init", 50);
+    r.retransmit = true;
+    for (int i = 0; i < 2; ++i) m.record_send(r, true);
+    for (int i = 0; i < 18; ++i) m.record_delivery();
     m.record_decide(1, 4);
-    m.record_dead_letter(3);
+    m.record_decide(3, 41);
+    for (int i = 0; i < 3; ++i) m.record_link_drop(msg("l/drop", 40));
+    for (int i = 0; i < 4; ++i) m.record_link_duplicate();
+    for (int i = 0; i < 5; ++i) m.record_link_replay();
+    for (int i = 0; i < 6; ++i) m.record_dead_letter(30);
+    for (int i = 0; i < 7; ++i) m.record_verify_batch(29, 3, 5);
+    for (int i = 0; i < 8; ++i) m.record_sig_verify_batch(31, 2, 9);
+    for (int i = 0; i < 9; ++i) m.record_rbc_encode(13);
+    for (int i = 0; i < 12; ++i) m.record_rbc_decode(i == 11, 19);
+    for (int i = 0; i < 13; ++i) m.record_partition_hold(msg("p/hold", 23));
+    for (int i = 0; i < 14; ++i) m.record_partition_drop(msg("p/drop", 37));
+    m.record_partition_release(15);
+    for (int i = 0; i < 17; ++i) m.record_storm_copy();
+    for (int i = 0; i < 18; ++i) m.record_churn_crash();
     return m;
   };
   std::ostringstream ja, jb, pa, pb;
   build().to_json(ja);
   build().to_json(jb);
   EXPECT_EQ(ja.str(), jb.str());
-  EXPECT_NE(ja.str().find("\"correct_words\""), std::string::npos);
-  EXPECT_NE(ja.str().find("\"dead_letters\""), std::string::npos);
+  EXPECT_EQ(ja.str(),
+      "{\"totals\":{\"correct_words\":123,\"total_words\":283"
+      ",\"messages_sent\":24,\"deliveries\":19,\"duration\":41"
+      ",\"link_drops\":3,\"link_dropped_words\":120,\"link_duplicates\":4"
+      ",\"link_replays\":5,\"retransmits\":2,\"retransmit_words\":100"
+      ",\"dead_letters\":6,\"dead_letter_words\":180,\"verify_flushes\":7"
+      ",\"verify_shares\":203,\"verify_rejects\":21"
+      ",\"verify_memo_hits\":35,\"sig_verify_flushes\":8"
+      ",\"sig_verify_sigs\":248,\"sig_verify_rejects\":16"
+      ",\"sig_verify_memo_hits\":72,\"rbc_encodes\":9"
+      ",\"rbc_fragments_encoded\":117,\"rbc_decodes\":12"
+      ",\"rbc_fragments_decoded\":228,\"rbc_decode_failures\":11"
+      ",\"partition_held\":13,\"partition_held_words\":299"
+      ",\"partition_dropped\":14,\"partition_dropped_words\":518"
+      ",\"partition_released\":15,\"storm_copies\":17"
+      ",\"churn_crashes\":18},\"decide_rounds\":\"1:1 3:1\""
+      ",\"words_by_phase\":{\"ba/*/a1/init\":62,\"ba/*/coin/first\":61}"
+      ",\"words_by_round\":{\"1\":123}"
+      ",\"phases\":[{\"phase\":\"ba/*/a1/init\",\"messages\":1"
+      ",\"correct_words\":62,\"words\":{\"total\":1,\"sum\":62,\"max\":62"
+      ",\"buckets\":[[6,1]]},\"depth\":{\"total\":0,\"sum\":0,\"max\":0"
+      ",\"buckets\":[]},\"latency\":{\"total\":0,\"sum\":0,\"max\":0"
+      ",\"buckets\":[]}},{\"phase\":\"ba/*/coin/first\",\"messages\":1"
+      ",\"correct_words\":61,\"words\":{\"total\":1,\"sum\":61,\"max\":61"
+      ",\"buckets\":[[6,1]]},\"depth\":{\"total\":1,\"sum\":2,\"max\":2"
+      ",\"buckets\":[[2,1]]},\"latency\":{\"total\":1,\"sum\":6,\"max\":6"
+      ",\"buckets\":[[3,1]]}}]}");
   build().to_prometheus(pa);
   build().to_prometheus(pb);
   EXPECT_EQ(pa.str(), pb.str());
-  EXPECT_NE(pa.str().find("coincidence_correct_words"), std::string::npos);
+  EXPECT_EQ(pa.str(),
+      "# TYPE coincidence_correct_words_total counter\n"
+      "coincidence_correct_words_total 123\n"
+      "# TYPE coincidence_total_words_total counter\n"
+      "coincidence_total_words_total 283\n"
+      "# TYPE coincidence_messages_sent_total counter\n"
+      "coincidence_messages_sent_total 24\n"
+      "# TYPE coincidence_deliveries_total counter\n"
+      "coincidence_deliveries_total 19\n"
+      "# TYPE coincidence_duration_causal_depth gauge\n"
+      "coincidence_duration_causal_depth 41\n"
+      "# TYPE coincidence_link_drops_total counter\n"
+      "coincidence_link_drops_total 3\n"
+      "# TYPE coincidence_link_duplicates_total counter\n"
+      "coincidence_link_duplicates_total 4\n"
+      "# TYPE coincidence_link_replays_total counter\n"
+      "coincidence_link_replays_total 5\n"
+      "# TYPE coincidence_retransmits_total counter\n"
+      "coincidence_retransmits_total 2\n"
+      "# TYPE coincidence_dead_letters_total counter\n"
+      "coincidence_dead_letters_total 6\n"
+      "# TYPE coincidence_dead_letter_words_total counter\n"
+      "coincidence_dead_letter_words_total 180\n"
+      "# TYPE coincidence_verify_flushes_total counter\n"
+      "coincidence_verify_flushes_total 7\n"
+      "# TYPE coincidence_verify_shares_total counter\n"
+      "coincidence_verify_shares_total 203\n"
+      "# TYPE coincidence_verify_rejects_total counter\n"
+      "coincidence_verify_rejects_total 21\n"
+      "# TYPE coincidence_verify_memo_hits_total counter\n"
+      "coincidence_verify_memo_hits_total 35\n"
+      "# TYPE coincidence_sig_verify_flushes_total counter\n"
+      "coincidence_sig_verify_flushes_total 8\n"
+      "# TYPE coincidence_sig_verify_sigs_total counter\n"
+      "coincidence_sig_verify_sigs_total 248\n"
+      "# TYPE coincidence_sig_verify_rejects_total counter\n"
+      "coincidence_sig_verify_rejects_total 16\n"
+      "# TYPE coincidence_sig_verify_memo_hits_total counter\n"
+      "coincidence_sig_verify_memo_hits_total 72\n"
+      "# TYPE coincidence_rbc_encodes_total counter\n"
+      "coincidence_rbc_encodes_total 9\n"
+      "# TYPE coincidence_rbc_fragments_encoded_total counter\n"
+      "coincidence_rbc_fragments_encoded_total 117\n"
+      "# TYPE coincidence_rbc_decodes_total counter\n"
+      "coincidence_rbc_decodes_total 12\n"
+      "# TYPE coincidence_rbc_fragments_decoded_total counter\n"
+      "coincidence_rbc_fragments_decoded_total 228\n"
+      "# TYPE coincidence_rbc_decode_failures_total counter\n"
+      "coincidence_rbc_decode_failures_total 11\n"
+      "# TYPE coincidence_partition_held_total counter\n"
+      "coincidence_partition_held_total 13\n"
+      "# TYPE coincidence_partition_dropped_total counter\n"
+      "coincidence_partition_dropped_total 14\n"
+      "# TYPE coincidence_partition_released_total counter\n"
+      "coincidence_partition_released_total 15\n"
+      "# TYPE coincidence_storm_copies_total counter\n"
+      "coincidence_storm_copies_total 17\n"
+      "# TYPE coincidence_churn_crashes_total counter\n"
+      "coincidence_churn_crashes_total 18\n"
+      "# TYPE coincidence_phase_words_total counter\n"
+      "coincidence_phase_words_total{phase=\"ba/*/a1/init\"} 62\n"
+      "coincidence_phase_words_total{phase=\"ba/*/coin/first\"} 61\n"
+      "# TYPE coincidence_phase_depth histogram\n"
+      "coincidence_phase_depth_bucket{phase=\"ba/*/a1/init\",le=\"+Inf\"} 0\n"
+      "coincidence_phase_depth_sum{phase=\"ba/*/a1/init\"} 0\n"
+      "coincidence_phase_depth_count{phase=\"ba/*/a1/init\"} 0\n"
+      "coincidence_phase_depth_bucket{phase=\"ba/*/coin/first\",le=\"3\"} 1\n"
+      "coincidence_phase_depth_bucket{phase=\"ba/*/coin/first\",le=\"+Inf\"} 1\n"
+      "coincidence_phase_depth_sum{phase=\"ba/*/coin/first\"} 2\n"
+      "coincidence_phase_depth_count{phase=\"ba/*/coin/first\"} 1\n"
+      "# TYPE coincidence_phase_latency_deliveries histogram\n"
+      "coincidence_phase_latency_deliveries_bucket{phase=\"ba/*/a1/init\",le=\"+Inf\"} 0\n"
+      "coincidence_phase_latency_deliveries_sum{phase=\"ba/*/a1/init\"} 0\n"
+      "coincidence_phase_latency_deliveries_count{phase=\"ba/*/a1/init\"} 0\n"
+      "coincidence_phase_latency_deliveries_bucket{phase=\"ba/*/coin/first\",le=\"7\"} 1\n"
+      "coincidence_phase_latency_deliveries_bucket{phase=\"ba/*/coin/first\",le=\"+Inf\"} 1\n"
+      "coincidence_phase_latency_deliveries_sum{phase=\"ba/*/coin/first\"} 6\n"
+      "coincidence_phase_latency_deliveries_count{phase=\"ba/*/coin/first\"} 1\n");
 }
 
 TEST(Metrics, ResetClearsTelemetryState) {
