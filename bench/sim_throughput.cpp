@@ -302,7 +302,7 @@ RunStats run_whp_coin(std::size_t n, std::uint64_t seed) {
   return measure([&] {
     sim.start();
     sim.run();
-    return sim.metrics().deliveries();
+    return sim.metrics().counter(sim::Counter::kDeliveries);
   });
 }
 
@@ -352,7 +352,7 @@ RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
         if (!dynamic_cast<ba::BaWhp&>(sim.process(i)).decided()) return false;
       return true;
     });
-    return sim.metrics().deliveries();
+    return sim.metrics().counter(sim::Counter::kDeliveries);
   });
   for (const auto& b : batchers) {
     s.sig_checks += b->sig_checks();
@@ -428,7 +428,7 @@ RunStats run_rbc(std::size_t n, std::uint64_t seed) {
           return false;
       return true;
     });
-    return sim.metrics().deliveries();
+    return sim.metrics().counter(sim::Counter::kDeliveries);
   });
 }
 

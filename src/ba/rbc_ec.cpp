@@ -76,7 +76,8 @@ EcBroadcast::Flow& EcBroadcast::flow_of(sim::ProcessId source,
 void EcBroadcast::broadcast(sim::Context& ctx, Bytes payload) {
   const std::uint64_t size = payload.size();
   const std::vector<Bytes> fragments = rs_.encode(payload);
-  ctx.note_rbc_encode(fragments.size());
+  ctx.count(sim::Counter::kRbcEncodes, 1);
+  ctx.count(sim::Counter::kRbcFragmentsEncoded, fragments.size());
   const crypto::MerkleTree tree(fragments);
   const std::size_t frag_words =
       fragment_word_count(rs_.fragment_size(size));
@@ -230,25 +231,27 @@ void EcBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
     subset.emplace_back(index, frag);
     if (subset.size() == k) break;
   }
+  ctx.count(sim::Counter::kRbcDecodes, 1);
+  ctx.count(sim::Counter::kRbcFragmentsDecoded, k);
   Bytes value;
   try {
     value = rs_.decode(subset, flow.value_size);
   } catch (const CodecError&) {
-    ctx.note_rbc_decode(false, k);
+    ctx.count(sim::Counter::kRbcDecodeFailures, 1);
     flow.poisoned = true;
     return;
   }
   const std::vector<Bytes> reencoded = rs_.encode(value);
-  ctx.note_rbc_encode(reencoded.size());
+  ctx.count(sim::Counter::kRbcEncodes, 1);
+  ctx.count(sim::Counter::kRbcFragmentsEncoded, reencoded.size());
   const crypto::MerkleTree tree(reencoded);
   if (tree.root() != flow.root) {
     // Inconsistently-encoded dispersal: deterministic for every correct
     // process, so nobody ever delivers under this root.
-    ctx.note_rbc_decode(false, k);
+    ctx.count(sim::Counter::kRbcDecodeFailures, 1);
     flow.poisoned = true;
     return;
   }
-  ctx.note_rbc_decode(true, k);
 
   delivered_[flow.source] = true;
   ++delivered_count_;

@@ -406,32 +406,8 @@ RunReport run_agreement(const RunOptions& options,
     report.correct_words = sim.metrics().correct_words();
     report.messages = sim.metrics().messages_sent();
     report.words_by_tag = sim.metrics().words_by_tag();
-    report.link_drops = sim.metrics().link_drops();
-    report.link_duplicates = sim.metrics().link_duplicates();
-    report.link_replays = sim.metrics().link_replays();
-    report.retransmits = sim.metrics().retransmits();
-    report.retransmit_words = sim.metrics().retransmit_words();
-    report.dead_letters = sim.metrics().dead_letters();
-    report.dead_letter_words = sim.metrics().dead_letter_words();
-    report.verify_flushes = sim.metrics().verify_flushes();
-    report.verify_shares = sim.metrics().verify_shares();
-    report.verify_rejects = sim.metrics().verify_rejects();
-    report.verify_memo_hits = sim.metrics().verify_memo_hits();
-    report.sig_verify_flushes = sim.metrics().sig_verify_flushes();
-    report.sig_verify_sigs = sim.metrics().sig_verify_sigs();
-    report.sig_verify_rejects = sim.metrics().sig_verify_rejects();
-    report.sig_verify_memo_hits = sim.metrics().sig_verify_memo_hits();
-    report.rbc_encodes = sim.metrics().rbc_encodes();
-    report.rbc_fragments_encoded = sim.metrics().rbc_fragments_encoded();
-    report.rbc_decodes = sim.metrics().rbc_decodes();
-    report.rbc_fragments_decoded = sim.metrics().rbc_fragments_decoded();
-    report.rbc_decode_failures = sim.metrics().rbc_decode_failures();
+    report.counters = sim.metrics().counters();
     report.corrupted = sim.corrupted_count();
-    report.partition_held = sim.metrics().partition_held();
-    report.partition_dropped = sim.metrics().partition_dropped();
-    report.partition_released = sim.metrics().partition_released();
-    report.storm_copies = sim.metrics().storm_copies();
-    report.churn_crashes = sim.metrics().churn_crashes();
     for (sim::ProcessId i = 0; i < options.n; ++i)
       report.duration = std::max(report.duration, sim.depth_of(i));
 

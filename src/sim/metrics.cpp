@@ -96,16 +96,16 @@ Metrics::TagDetail& Metrics::detail_row(TagId id) {
 }
 
 void Metrics::record_send(const Message& msg, bool sender_correct) {
-  ++messages_sent_;
-  total_words_ += msg.words;
+  add(Counter::kMessagesSent, 1);
+  add(Counter::kTotalWords, msg.words);
   if (!sender_correct) return;
   if (msg.retransmit) {
     // Repair traffic: real wire cost, but not part of the §2 measure.
-    ++retransmits_;
-    retransmit_words_ += msg.words;
+    add(Counter::kRetransmits, 1);
+    add(Counter::kRetransmitWords, msg.words);
     return;
   }
-  correct_words_ += msg.words;
+  add(Counter::kCorrectWords, msg.words);
   const TagId id = msg.tag.id();
   if (id >= words_by_tag_id_.size()) words_by_tag_id_.resize(id + 1, 0);
   words_by_tag_id_[id] += msg.words;
@@ -118,7 +118,7 @@ void Metrics::record_send(const Message& msg, bool sender_correct) {
 }
 
 void Metrics::record_delivery(const Message& msg, std::uint64_t latency) {
-  ++deliveries_;
+  add(Counter::kDeliveries, 1);
   if (!detail_) return;
   TagDetail& row = detail_row(msg.tag.id());
   row.depth.add(msg.causal_depth);
@@ -187,13 +187,9 @@ std::map<std::string, Metrics::TagDetail> Metrics::by_tag() const {
   return view;
 }
 
-void Metrics::record_link_drop(const Message& msg) {
-  ++link_drops_;
-  link_dropped_words_ += msg.words;
-}
-
 void Metrics::record_decision_depth(std::uint64_t depth) {
-  max_decision_depth_ = std::max(max_decision_depth_, depth);
+  std::uint64_t& duration = counters_[Counter::kDuration];
+  duration = std::max(duration, depth);
 }
 
 void Metrics::record_decide(std::uint64_t round, std::uint64_t depth) {
@@ -202,40 +198,12 @@ void Metrics::record_decide(std::uint64_t round, std::uint64_t depth) {
 }
 
 void Metrics::to_json(std::ostream& os) const {
-  os << "{\"totals\":{"
-     << "\"correct_words\":" << correct_words_
-     << ",\"total_words\":" << total_words_
-     << ",\"messages_sent\":" << messages_sent_
-     << ",\"deliveries\":" << deliveries_
-     << ",\"duration\":" << max_decision_depth_
-     << ",\"link_drops\":" << link_drops_
-     << ",\"link_dropped_words\":" << link_dropped_words_
-     << ",\"link_duplicates\":" << link_duplicates_
-     << ",\"link_replays\":" << link_replays_
-     << ",\"retransmits\":" << retransmits_
-     << ",\"retransmit_words\":" << retransmit_words_
-     << ",\"dead_letters\":" << dead_letters_
-     << ",\"dead_letter_words\":" << dead_letter_words_
-     << ",\"verify_flushes\":" << verify_flushes_
-     << ",\"verify_shares\":" << verify_shares_
-     << ",\"verify_rejects\":" << verify_rejects_
-     << ",\"verify_memo_hits\":" << verify_memo_hits_
-     << ",\"sig_verify_flushes\":" << sig_verify_flushes_
-     << ",\"sig_verify_sigs\":" << sig_verify_sigs_
-     << ",\"sig_verify_rejects\":" << sig_verify_rejects_
-     << ",\"sig_verify_memo_hits\":" << sig_verify_memo_hits_
-     << ",\"rbc_encodes\":" << rbc_encodes_
-     << ",\"rbc_fragments_encoded\":" << rbc_fragments_encoded_
-     << ",\"rbc_decodes\":" << rbc_decodes_
-     << ",\"rbc_fragments_decoded\":" << rbc_fragments_decoded_
-     << ",\"rbc_decode_failures\":" << rbc_decode_failures_
-     << ",\"partition_held\":" << partition_held_
-     << ",\"partition_held_words\":" << partition_held_words_
-     << ",\"partition_dropped\":" << partition_dropped_
-     << ",\"partition_dropped_words\":" << partition_dropped_words_
-     << ",\"partition_released\":" << partition_released_
-     << ",\"storm_copies\":" << storm_copies_
-     << ",\"churn_crashes\":" << churn_crashes_ << '}';
+  os << "{\"totals\":{";
+  for (const CounterInfo& row : kCounterTable) {
+    if (row.id != Counter::kCorrectWords) os << ',';
+    os << '"' << row.key << "\":" << counters_[row.id];
+  }
+  os << '}';
 
   os << ",\"decide_rounds\":";
   json_escape(os, decide_rounds_.summary());
@@ -283,68 +251,14 @@ void Metrics::to_json(std::ostream& os) const {
 }
 
 void Metrics::to_prometheus(std::ostream& os) const {
-  os << "# TYPE coincidence_correct_words_total counter\n"
-     << "coincidence_correct_words_total " << correct_words_ << '\n'
-     << "# TYPE coincidence_total_words_total counter\n"
-     << "coincidence_total_words_total " << total_words_ << '\n'
-     << "# TYPE coincidence_messages_sent_total counter\n"
-     << "coincidence_messages_sent_total " << messages_sent_ << '\n'
-     << "# TYPE coincidence_deliveries_total counter\n"
-     << "coincidence_deliveries_total " << deliveries_ << '\n'
-     << "# TYPE coincidence_duration_causal_depth gauge\n"
-     << "coincidence_duration_causal_depth " << max_decision_depth_ << '\n'
-     << "# TYPE coincidence_link_drops_total counter\n"
-     << "coincidence_link_drops_total " << link_drops_ << '\n'
-     << "# TYPE coincidence_link_duplicates_total counter\n"
-     << "coincidence_link_duplicates_total " << link_duplicates_ << '\n'
-     << "# TYPE coincidence_link_replays_total counter\n"
-     << "coincidence_link_replays_total " << link_replays_ << '\n'
-     << "# TYPE coincidence_retransmits_total counter\n"
-     << "coincidence_retransmits_total " << retransmits_ << '\n'
-     << "# TYPE coincidence_dead_letters_total counter\n"
-     << "coincidence_dead_letters_total " << dead_letters_ << '\n'
-     << "# TYPE coincidence_dead_letter_words_total counter\n"
-     << "coincidence_dead_letter_words_total " << dead_letter_words_ << '\n'
-     << "# TYPE coincidence_verify_flushes_total counter\n"
-     << "coincidence_verify_flushes_total " << verify_flushes_ << '\n'
-     << "# TYPE coincidence_verify_shares_total counter\n"
-     << "coincidence_verify_shares_total " << verify_shares_ << '\n'
-     << "# TYPE coincidence_verify_rejects_total counter\n"
-     << "coincidence_verify_rejects_total " << verify_rejects_ << '\n'
-     << "# TYPE coincidence_verify_memo_hits_total counter\n"
-     << "coincidence_verify_memo_hits_total " << verify_memo_hits_ << '\n'
-     << "# TYPE coincidence_sig_verify_flushes_total counter\n"
-     << "coincidence_sig_verify_flushes_total " << sig_verify_flushes_ << '\n'
-     << "# TYPE coincidence_sig_verify_sigs_total counter\n"
-     << "coincidence_sig_verify_sigs_total " << sig_verify_sigs_ << '\n'
-     << "# TYPE coincidence_sig_verify_rejects_total counter\n"
-     << "coincidence_sig_verify_rejects_total " << sig_verify_rejects_ << '\n'
-     << "# TYPE coincidence_sig_verify_memo_hits_total counter\n"
-     << "coincidence_sig_verify_memo_hits_total " << sig_verify_memo_hits_
-     << '\n'
-     << "# TYPE coincidence_rbc_encodes_total counter\n"
-     << "coincidence_rbc_encodes_total " << rbc_encodes_ << '\n'
-     << "# TYPE coincidence_rbc_fragments_encoded_total counter\n"
-     << "coincidence_rbc_fragments_encoded_total " << rbc_fragments_encoded_
-     << '\n'
-     << "# TYPE coincidence_rbc_decodes_total counter\n"
-     << "coincidence_rbc_decodes_total " << rbc_decodes_ << '\n'
-     << "# TYPE coincidence_rbc_fragments_decoded_total counter\n"
-     << "coincidence_rbc_fragments_decoded_total " << rbc_fragments_decoded_
-     << '\n'
-     << "# TYPE coincidence_rbc_decode_failures_total counter\n"
-     << "coincidence_rbc_decode_failures_total " << rbc_decode_failures_
-     << '\n'
-     << "# TYPE coincidence_partition_held_total counter\n"
-     << "coincidence_partition_held_total " << partition_held_ << '\n'
-     << "# TYPE coincidence_partition_dropped_total counter\n"
-     << "coincidence_partition_dropped_total " << partition_dropped_ << '\n'
-     << "# TYPE coincidence_partition_released_total counter\n"
-     << "coincidence_partition_released_total " << partition_released_ << '\n'
-     << "# TYPE coincidence_storm_copies_total counter\n"
-     << "coincidence_storm_copies_total " << storm_copies_ << '\n'
-     << "# TYPE coincidence_churn_crashes_total counter\n"
-     << "coincidence_churn_crashes_total " << churn_crashes_ << '\n';
+  for (const CounterInfo& row : kCounterTable) {
+    if (row.prom == PromType::kNone) continue;
+    const bool gauge = row.prom == PromType::kGauge;
+    const std::string name = "coincidence_" + std::string(row.key) +
+                             (gauge ? "_causal_depth" : "_total");
+    os << "# TYPE " << name << (gauge ? " gauge\n" : " counter\n") << name
+       << ' ' << counters_[row.id] << '\n';
+  }
 
   os << "# TYPE coincidence_phase_words_total counter\n";
   for (const auto& [phase, words] : words_by_phase())
@@ -365,39 +279,7 @@ void Metrics::to_prometheus(std::ostream& os) const {
 }
 
 void Metrics::reset() {
-  correct_words_ = 0;
-  total_words_ = 0;
-  messages_sent_ = 0;
-  deliveries_ = 0;
-  max_decision_depth_ = 0;
-  link_drops_ = 0;
-  link_dropped_words_ = 0;
-  link_duplicates_ = 0;
-  link_replays_ = 0;
-  retransmits_ = 0;
-  retransmit_words_ = 0;
-  dead_letters_ = 0;
-  dead_letter_words_ = 0;
-  verify_flushes_ = 0;
-  verify_shares_ = 0;
-  verify_rejects_ = 0;
-  verify_memo_hits_ = 0;
-  sig_verify_flushes_ = 0;
-  sig_verify_sigs_ = 0;
-  sig_verify_rejects_ = 0;
-  sig_verify_memo_hits_ = 0;
-  rbc_encodes_ = 0;
-  rbc_fragments_encoded_ = 0;
-  rbc_decodes_ = 0;
-  rbc_fragments_decoded_ = 0;
-  rbc_decode_failures_ = 0;
-  partition_held_ = 0;
-  partition_held_words_ = 0;
-  partition_dropped_ = 0;
-  partition_dropped_words_ = 0;
-  partition_released_ = 0;
-  storm_copies_ = 0;
-  churn_crashes_ = 0;
+  counters_ = CounterValues{};
   words_by_tag_id_.clear();
   detail_by_tag_id_.clear();
   decide_rounds_ = Histogram{};

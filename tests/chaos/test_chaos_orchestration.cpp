@@ -95,11 +95,11 @@ void expect_reports_equal(const RunReport& a, const RunReport& b,
   EXPECT_EQ(a.correct_words, b.correct_words) << label;
   EXPECT_EQ(a.messages, b.messages) << label;
   EXPECT_EQ(a.corrupted, b.corrupted) << label;
-  EXPECT_EQ(a.partition_held, b.partition_held) << label;
-  EXPECT_EQ(a.partition_dropped, b.partition_dropped) << label;
-  EXPECT_EQ(a.partition_released, b.partition_released) << label;
-  EXPECT_EQ(a.storm_copies, b.storm_copies) << label;
-  EXPECT_EQ(a.churn_crashes, b.churn_crashes) << label;
+  EXPECT_EQ(a.counters[sim::Counter::kPartitionHeld], b.counters[sim::Counter::kPartitionHeld]) << label;
+  EXPECT_EQ(a.counters[sim::Counter::kPartitionDropped], b.counters[sim::Counter::kPartitionDropped]) << label;
+  EXPECT_EQ(a.counters[sim::Counter::kPartitionReleased], b.counters[sim::Counter::kPartitionReleased]) << label;
+  EXPECT_EQ(a.counters[sim::Counter::kStormCopies], b.counters[sim::Counter::kStormCopies]) << label;
+  EXPECT_EQ(a.counters[sim::Counter::kChurnCrashes], b.counters[sim::Counter::kChurnCrashes]) << label;
   EXPECT_EQ(a.invariant_violations.size(), b.invariant_violations.size())
       << label;
 }
@@ -139,7 +139,7 @@ TEST(ChaosOrchestration, QuickSweepHoldsEveryInvariant) {
     EXPECT_EQ(r.verify_enqueued, r.verify_batch_flushed + r.verify_discarded)
         << labels[i];
     // Partitions healed: everything held was released.
-    EXPECT_EQ(r.partition_held, r.partition_released) << labels[i];
+    EXPECT_EQ(r.counters[sim::Counter::kPartitionHeld], r.counters[sim::Counter::kPartitionReleased]) << labels[i];
   }
 }
 
@@ -253,16 +253,16 @@ TEST(ChaosOrchestration, PartitionHealOverReliableChannelDrainsExactlyOnce) {
   ASSERT_TRUE(report.decision.has_value());
   EXPECT_EQ(*report.decision, 1);
   // The partition really dropped traffic, and repair really happened.
-  EXPECT_GT(report.partition_dropped, 0u);
-  EXPECT_EQ(report.partition_held, 0u);  // drop mode buffers nothing
-  EXPECT_GT(report.retransmits, 0u);
-  EXPECT_GT(report.retransmit_words, 0u);
+  EXPECT_GT(report.counters[sim::Counter::kPartitionDropped], 0u);
+  EXPECT_EQ(report.counters[sim::Counter::kPartitionHeld], 0u);  // drop mode buffers nothing
+  EXPECT_GT(report.counters[sim::Counter::kRetransmits], 0u);
+  EXPECT_GT(report.counters[sim::Counter::kRetransmitWords], 0u);
   // Accounting partitions exactly: repair words and abandoned frames are
   // outside the §2 measure, and abandoned frames are bounded by traffic
   // that actually went on the wire.
   EXPECT_GT(report.correct_words, 0u);
-  EXPECT_LE(report.dead_letter_words,
-            report.correct_words + report.retransmit_words);
+  EXPECT_LE(report.counters[sim::Counter::kDeadLetterWords],
+            report.correct_words + report.counters[sim::Counter::kRetransmitWords]);
 }
 
 // The adaptive hunter obeys the corruption budget even stacked on top of
@@ -291,7 +291,7 @@ TEST(ChaosOrchestration, AdaptiveHunterPlusChurnStaysWithinBudget) {
   EXPECT_EQ(*report.decision, 0);
   EXPECT_LE(report.corrupted, report.protocol_f);
   EXPECT_GT(report.corrupted, 0u);  // the hostility was real
-  EXPECT_GT(report.churn_crashes, 0u);
+  EXPECT_GT(report.counters[sim::Counter::kChurnCrashes], 0u);
 }
 
 }  // namespace

@@ -123,9 +123,9 @@ TEST(VerifyRecovery, DeferredVerdictsMatchInlineUnderCrashRecovery) {
     // Honest shares re-delivered verbatim answer from the memo (or
     // re-verify to the same accepting verdict): zero rejects on both
     // paths is the "verdicts bit-identical" claim in counter form.
-    EXPECT_EQ(a.verify_rejects, 0u) << label;
-    EXPECT_EQ(b.verify_rejects, 0u) << label;
-    EXPECT_GT(a.verify_memo_hits, 0u) << label;
+    EXPECT_EQ(a.counters[sim::Counter::kVerifyRejects], 0u) << label;
+    EXPECT_EQ(b.counters[sim::Counter::kVerifyRejects], 0u) << label;
+    EXPECT_GT(a.counters[sim::Counter::kVerifyMemoHits], 0u) << label;
   }
 }
 
@@ -144,14 +144,14 @@ TEST(VerifyRecovery, SignatureLedgerBalancesAcrossCrashRecovery) {
     EXPECT_TRUE(r.invariant_violations.empty()) << label;
     EXPECT_TRUE(r.all_correct_decided) << label;
     // The signature batch plane really ran...
-    EXPECT_GT(r.sig_verify_flushes, 0u) << label;
-    EXPECT_GT(r.sig_verify_sigs, 0u) << label;
+    EXPECT_GT(r.counters[sim::Counter::kSigVerifyFlushes], 0u) << label;
+    EXPECT_GT(r.counters[sim::Counter::kSigVerifySigs], 0u) << label;
     // ...and the memo collapsed repeats: every ok embeds the SAME W
     // signed echoes, and echo-phase checks share the memo, so hits
     // dominate (each broadcast triple verifies ~once run-wide).
     EXPECT_GT(r.sig_memo_hits * 2, r.sig_checks) << label;
     // Honest-only run: deferral rejects nothing.
-    EXPECT_EQ(r.sig_verify_rejects, 0u) << label;
+    EXPECT_EQ(r.counters[sim::Counter::kSigVerifyRejects], 0u) << label;
   }
 }
 
@@ -176,9 +176,9 @@ TEST(VerifyRecovery, BaWhpDeferredSigVerdictsMatchInlineUnderRecovery) {
     EXPECT_EQ(a.messages, b.messages) << label;
     EXPECT_EQ(a.words_by_tag, b.words_by_tag) << label;
 
-    EXPECT_GT(a.sig_verify_sigs, 0u) << label;
-    EXPECT_EQ(b.sig_verify_sigs, 0u) << label;
-    EXPECT_EQ(a.sig_verify_rejects, 0u) << label;
+    EXPECT_GT(a.counters[sim::Counter::kSigVerifySigs], 0u) << label;
+    EXPECT_EQ(b.counters[sim::Counter::kSigVerifySigs], 0u) << label;
+    EXPECT_EQ(a.counters[sim::Counter::kSigVerifyRejects], 0u) << label;
     expect_ledger_balanced(a, label);
   }
 }
@@ -193,8 +193,8 @@ TEST(VerifyRecovery, LedgerCountersAreSeedDeterministic) {
   EXPECT_EQ(a.verify_enqueued, b.verify_enqueued);
   EXPECT_EQ(a.verify_batch_flushed, b.verify_batch_flushed);
   EXPECT_EQ(a.verify_discarded, b.verify_discarded);
-  EXPECT_EQ(a.verify_flushes, b.verify_flushes);
-  EXPECT_EQ(a.verify_memo_hits, b.verify_memo_hits);
+  EXPECT_EQ(a.counters[sim::Counter::kVerifyFlushes], b.counters[sim::Counter::kVerifyFlushes]);
+  EXPECT_EQ(a.counters[sim::Counter::kVerifyMemoHits], b.counters[sim::Counter::kVerifyMemoHits]);
 }
 
 }  // namespace

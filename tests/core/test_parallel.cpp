@@ -25,11 +25,11 @@ void expect_reports_equal(const RunReport& a, const RunReport& b) {
   EXPECT_EQ(a.words_by_tag, b.words_by_tag);
   EXPECT_EQ(a.faulty, b.faulty);
   EXPECT_EQ(a.protocol_f, b.protocol_f);
-  EXPECT_EQ(a.link_drops, b.link_drops);
-  EXPECT_EQ(a.link_duplicates, b.link_duplicates);
-  EXPECT_EQ(a.link_replays, b.link_replays);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.retransmit_words, b.retransmit_words);
+  EXPECT_EQ(a.counters[sim::Counter::kLinkDrops], b.counters[sim::Counter::kLinkDrops]);
+  EXPECT_EQ(a.counters[sim::Counter::kLinkDuplicates], b.counters[sim::Counter::kLinkDuplicates]);
+  EXPECT_EQ(a.counters[sim::Counter::kLinkReplays], b.counters[sim::Counter::kLinkReplays]);
+  EXPECT_EQ(a.counters[sim::Counter::kRetransmits], b.counters[sim::Counter::kRetransmits]);
+  EXPECT_EQ(a.counters[sim::Counter::kRetransmitWords], b.counters[sim::Counter::kRetransmitWords]);
 }
 
 std::vector<RunOptions> mixed_workload() {

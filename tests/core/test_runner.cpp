@@ -158,11 +158,11 @@ TEST(Runner, DeferredVerificationIsBitIdenticalToInline) {
       EXPECT_EQ(inline_r.duration, deferred_r.duration);
       EXPECT_EQ(inline_r.words_by_tag, deferred_r.words_by_tag);
       // The deferred run actually went through the batch plane...
-      EXPECT_GT(deferred_r.verify_flushes, 0u);
-      EXPECT_GT(deferred_r.verify_shares, 0u);
+      EXPECT_GT(deferred_r.counters[sim::Counter::kVerifyFlushes], 0u);
+      EXPECT_GT(deferred_r.counters[sim::Counter::kVerifyShares], 0u);
       // ...and the inline run never did.
-      EXPECT_EQ(inline_r.verify_flushes, 0u);
-      EXPECT_EQ(inline_r.verify_shares, 0u);
+      EXPECT_EQ(inline_r.counters[sim::Counter::kVerifyFlushes], 0u);
+      EXPECT_EQ(inline_r.counters[sim::Counter::kVerifyShares], 0u);
     }
   }
 }
@@ -179,7 +179,7 @@ TEST(Runner, DeferredVerificationCountsJunkRejects) {
   o.junk = 2;
   RunReport r = run_agreement(o);
   EXPECT_TRUE(r.all_correct_decided);
-  EXPECT_GT(r.verify_shares, 0u);
+  EXPECT_GT(r.counters[sim::Counter::kVerifyShares], 0u);
 }
 
 TEST(Runner, InstrumentedRunMatchesBareRun) {

@@ -108,7 +108,7 @@ TEST(Faults, ByzantineWordsExcludedFromCorrectCount) {
   faulty.run();
   EXPECT_EQ(honest.metrics().correct_words(), 4u * 4u);
   EXPECT_EQ(faulty.metrics().correct_words(), 3u * 4u);
-  EXPECT_EQ(faulty.metrics().total_words(), 4u * 4u);
+  EXPECT_EQ(faulty.metrics().counter(sim::Counter::kTotalWords), 4u * 4u);
 }
 
 TEST(Faults, NoFrontRunning_PendingMessagesSurviveCorruption) {

@@ -44,11 +44,11 @@ std::string fingerprint(const sim::Simulation& sim,
   std::ostringstream os;
   os << "decisions=" << decisions << "\n";
   os << "correct_words=" << sim.metrics().correct_words() << "\n";
-  os << "total_words=" << sim.metrics().total_words() << "\n";
+  os << "total_words=" << sim.metrics().counter(sim::Counter::kTotalWords) << "\n";
   os << "messages_sent=" << sim.metrics().messages_sent() << "\n";
-  os << "deliveries=" << sim.metrics().deliveries() << "\n";
-  os << "link_duplicates=" << sim.metrics().link_duplicates() << "\n";
-  os << "link_replays=" << sim.metrics().link_replays() << "\n";
+  os << "deliveries=" << sim.metrics().counter(sim::Counter::kDeliveries) << "\n";
+  os << "link_duplicates=" << sim.metrics().counter(sim::Counter::kLinkDuplicates) << "\n";
+  os << "link_replays=" << sim.metrics().counter(sim::Counter::kLinkReplays) << "\n";
   os << "words_by_tag=";
   for (const auto& [tag, words] : sim.metrics().words_by_tag())
     os << tag << ":" << words << ";";

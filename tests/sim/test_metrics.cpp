@@ -19,7 +19,7 @@ TEST(Metrics, CorrectVsTotalWords) {
   m.record_send(msg("a/first", 2), true);
   m.record_send(msg("a/first", 2), false);  // Byzantine sender
   EXPECT_EQ(m.correct_words(), 2u);
-  EXPECT_EQ(m.total_words(), 4u);
+  EXPECT_EQ(m.counter(Counter::kTotalWords), 4u);
   EXPECT_EQ(m.messages_sent(), 2u);
 }
 
@@ -46,14 +46,14 @@ TEST(Metrics, DecisionDepthTracksMaximum) {
   m.record_decision_depth(5);
   m.record_decision_depth(3);
   m.record_decision_depth(9);
-  EXPECT_EQ(m.duration(), 9u);
+  EXPECT_EQ(m.counter(Counter::kDuration), 9u);
 }
 
 TEST(Metrics, DeliveriesCounted) {
   Metrics m;
   m.record_delivery();
   m.record_delivery();
-  EXPECT_EQ(m.deliveries(), 2u);
+  EXPECT_EQ(m.counter(Counter::kDeliveries), 2u);
 }
 
 TEST(Metrics, PhaseOfTagWildcardsNumericComponents) {
@@ -104,7 +104,7 @@ TEST(Metrics, DetailOffRecordsNoHistograms) {
   m.record_delivery(msg("a/b", 4), /*latency=*/9);
   EXPECT_TRUE(m.by_tag().empty());
   EXPECT_TRUE(m.by_phase().empty());
-  EXPECT_EQ(m.deliveries(), 1u);  // headline counters unaffected
+  EXPECT_EQ(m.counter(Counter::kDeliveries), 1u);  // headline counters unaffected
 }
 
 TEST(Metrics, DetailHistogramsTrackWordsDepthLatency) {
@@ -137,7 +137,7 @@ TEST(Metrics, RecordDecideFeedsDurationAndRoundsHistogram) {
   m.record_decide(/*round=*/3, /*depth=*/9);
   m.record_decide(/*round=*/3, /*depth=*/4);
   m.record_decide(/*round=*/5, /*depth=*/2);
-  EXPECT_EQ(m.duration(), 9u);
+  EXPECT_EQ(m.counter(Counter::kDuration), 9u);
   EXPECT_EQ(m.decide_rounds().total(), 3u);
   EXPECT_EQ(m.decide_rounds().count(3), 2u);
   EXPECT_EQ(m.decide_rounds().count(5), 1u);
@@ -145,10 +145,10 @@ TEST(Metrics, RecordDecideFeedsDurationAndRoundsHistogram) {
 
 TEST(Metrics, DeadLettersAlwaysAccounted) {
   Metrics m;  // detail off: dead letters must be counted regardless
-  m.record_dead_letter(5);
-  m.record_dead_letter(2);
-  EXPECT_EQ(m.dead_letters(), 2u);
-  EXPECT_EQ(m.dead_letter_words(), 7u);
+  m.add(Counter::kDeadLetters, 2);
+  m.add(Counter::kDeadLetterWords, 7);
+  EXPECT_EQ(m.counter(Counter::kDeadLetters), 2u);
+  EXPECT_EQ(m.counter(Counter::kDeadLetterWords), 7u);
 }
 
 TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
@@ -169,19 +169,32 @@ TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
     for (int i = 0; i < 18; ++i) m.record_delivery();
     m.record_decide(1, 4);
     m.record_decide(3, 41);
-    for (int i = 0; i < 3; ++i) m.record_link_drop(msg("l/drop", 40));
-    for (int i = 0; i < 4; ++i) m.record_link_duplicate();
-    for (int i = 0; i < 5; ++i) m.record_link_replay();
-    for (int i = 0; i < 6; ++i) m.record_dead_letter(30);
-    for (int i = 0; i < 7; ++i) m.record_verify_batch(29, 3, 5);
-    for (int i = 0; i < 8; ++i) m.record_sig_verify_batch(31, 2, 9);
-    for (int i = 0; i < 9; ++i) m.record_rbc_encode(13);
-    for (int i = 0; i < 12; ++i) m.record_rbc_decode(i == 11, 19);
-    for (int i = 0; i < 13; ++i) m.record_partition_hold(msg("p/hold", 23));
-    for (int i = 0; i < 14; ++i) m.record_partition_drop(msg("p/drop", 37));
-    m.record_partition_release(15);
-    for (int i = 0; i < 17; ++i) m.record_storm_copy();
-    for (int i = 0; i < 18; ++i) m.record_churn_crash();
+    m.add(Counter::kLinkDrops, 3);
+    m.add(Counter::kLinkDroppedWords, 120);
+    m.add(Counter::kLinkDuplicates, 4);
+    m.add(Counter::kLinkReplays, 5);
+    m.add(Counter::kDeadLetters, 6);
+    m.add(Counter::kDeadLetterWords, 180);
+    m.add(Counter::kVerifyFlushes, 7);
+    m.add(Counter::kVerifyShares, 203);
+    m.add(Counter::kVerifyRejects, 21);
+    m.add(Counter::kVerifyMemoHits, 35);
+    m.add(Counter::kSigVerifyFlushes, 8);
+    m.add(Counter::kSigVerifySigs, 248);
+    m.add(Counter::kSigVerifyRejects, 16);
+    m.add(Counter::kSigVerifyMemoHits, 72);
+    m.add(Counter::kRbcEncodes, 9);
+    m.add(Counter::kRbcFragmentsEncoded, 117);
+    m.add(Counter::kRbcDecodes, 12);
+    m.add(Counter::kRbcFragmentsDecoded, 228);
+    m.add(Counter::kRbcDecodeFailures, 11);
+    m.add(Counter::kPartitionHeld, 13);
+    m.add(Counter::kPartitionHeldWords, 299);
+    m.add(Counter::kPartitionDropped, 14);
+    m.add(Counter::kPartitionDroppedWords, 518);
+    m.add(Counter::kPartitionReleased, 15);
+    m.add(Counter::kStormCopies, 17);
+    m.add(Counter::kChurnCrashes, 18);
     return m;
   };
   std::ostringstream ja, jb, pa, pb;
@@ -305,13 +318,14 @@ TEST(Metrics, ResetClearsTelemetryState) {
   m.record_send(a, true);
   m.record_delivery(a, 3);
   m.record_decide(2, 7);
-  m.record_dead_letter(1);
+  m.add(Counter::kDeadLetters, 1);
+  m.add(Counter::kDeadLetterWords, 1);
   m.reset();
   EXPECT_TRUE(m.by_tag().empty());
   EXPECT_TRUE(m.words_by_phase().empty());
   EXPECT_EQ(m.decide_rounds().total(), 0u);
-  EXPECT_EQ(m.dead_letters(), 0u);
-  EXPECT_EQ(m.dead_letter_words(), 0u);
+  EXPECT_EQ(m.counter(Counter::kDeadLetters), 0u);
+  EXPECT_EQ(m.counter(Counter::kDeadLetterWords), 0u);
 }
 
 TEST(Metrics, ResetClearsEverything) {
@@ -321,10 +335,10 @@ TEST(Metrics, ResetClearsEverything) {
   m.record_decision_depth(7);
   m.reset();
   EXPECT_EQ(m.correct_words(), 0u);
-  EXPECT_EQ(m.total_words(), 0u);
+  EXPECT_EQ(m.counter(Counter::kTotalWords), 0u);
   EXPECT_EQ(m.messages_sent(), 0u);
-  EXPECT_EQ(m.deliveries(), 0u);
-  EXPECT_EQ(m.duration(), 0u);
+  EXPECT_EQ(m.counter(Counter::kDeliveries), 0u);
+  EXPECT_EQ(m.counter(Counter::kDuration), 0u);
   EXPECT_TRUE(m.words_by_tag().empty());
 }
 

@@ -55,11 +55,11 @@ RunSurface surface_of(const sim::Simulation& sim,
   std::ostringstream fp;
   fp << "decisions=" << decisions << "\n"
      << "correct_words=" << sim.metrics().correct_words() << "\n"
-     << "total_words=" << sim.metrics().total_words() << "\n"
+     << "total_words=" << sim.metrics().counter(sim::Counter::kTotalWords) << "\n"
      << "messages_sent=" << sim.metrics().messages_sent() << "\n"
-     << "deliveries=" << sim.metrics().deliveries() << "\n"
-     << "link_duplicates=" << sim.metrics().link_duplicates() << "\n"
-     << "link_replays=" << sim.metrics().link_replays() << "\n"
+     << "deliveries=" << sim.metrics().counter(sim::Counter::kDeliveries) << "\n"
+     << "link_duplicates=" << sim.metrics().counter(sim::Counter::kLinkDuplicates) << "\n"
+     << "link_replays=" << sim.metrics().counter(sim::Counter::kLinkReplays) << "\n"
      << "words_by_tag=";
   for (const auto& [tag, words] : sim.metrics().words_by_tag())
     fp << tag << ":" << words << ";";
@@ -289,7 +289,7 @@ TEST(ShardedSim, ShardStatsAccountForEveryDelivery) {
   ASSERT_EQ(sim.shard_stats().size(), 4u);
   std::uint64_t total = 0;
   for (const sim::ShardStats& s : sim.shard_stats()) total += s.deliveries;
-  EXPECT_EQ(total, sim.metrics().deliveries());
+  EXPECT_EQ(total, sim.metrics().counter(sim::Counter::kDeliveries));
   EXPECT_GT(sim.supersteps(), 0u);
   (void)ref;
 }

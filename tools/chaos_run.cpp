@@ -119,11 +119,11 @@ std::uint64_t digest_reports(const std::vector<core::RunReport>& reports) {
     h = fnv1a(h, r.correct_words);
     h = fnv1a(h, r.messages);
     h = fnv1a(h, r.corrupted);
-    h = fnv1a(h, r.partition_held);
-    h = fnv1a(h, r.partition_dropped);
-    h = fnv1a(h, r.partition_released);
-    h = fnv1a(h, r.storm_copies);
-    h = fnv1a(h, r.churn_crashes);
+    h = fnv1a(h, r.counters[sim::Counter::kPartitionHeld]);
+    h = fnv1a(h, r.counters[sim::Counter::kPartitionDropped]);
+    h = fnv1a(h, r.counters[sim::Counter::kPartitionReleased]);
+    h = fnv1a(h, r.counters[sim::Counter::kStormCopies]);
+    h = fnv1a(h, r.counters[sim::Counter::kChurnCrashes]);
     h = fnv1a(h, r.invariant_violations.size());
   }
   return h;
@@ -228,11 +228,11 @@ int run_sweep(const Args& args) {
   std::ostringstream failures;
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const core::RunReport& r = reports[i];
-    held += r.partition_held;
-    dropped += r.partition_dropped;
-    released += r.partition_released;
-    storm += r.storm_copies;
-    churn += r.churn_crashes;
+    held += r.counters[sim::Counter::kPartitionHeld];
+    dropped += r.counters[sim::Counter::kPartitionDropped];
+    released += r.counters[sim::Counter::kPartitionReleased];
+    storm += r.counters[sim::Counter::kStormCopies];
+    churn += r.counters[sim::Counter::kChurnCrashes];
     const bool bad = !r.invariant_violations.empty() ||
                      !r.all_correct_decided || !r.agreement;
     if (!r.all_correct_decided) ++undecided;
@@ -344,6 +344,8 @@ int main(int argc, char** argv) {
       std::make_shared<PhaseTelemetry>());
 
   const core::RunReport r = core::run_agreement(o, instruments);
+  const sim::CounterValues& c = r.counters;
+  using sim::Counter;
 
   std::cout << "chaos_run — " << core::protocol_name(o.protocol)
             << "  n=" << o.n << "  seed=" << o.seed << "  adversary=" << adv
@@ -354,13 +356,14 @@ int main(int argc, char** argv) {
   if (r.decision) std::cout << "  decision=" << *r.decision;
   std::cout << "  rounds<=" << r.max_decided_round
             << "\n  corrupted: " << r.corrupted << " (of f=" << r.protocol_f
-            << ")  churn crashes: " << r.churn_crashes
-            << "\n  partition held/dropped/released: " << r.partition_held
-            << '/' << r.partition_dropped << '/' << r.partition_released
-            << "  storm copies: " << r.storm_copies
-            << "\n  transport: retransmits=" << r.retransmits
-            << " dead letters=" << r.dead_letters
-            << " (words=" << r.dead_letter_words << ")"
+            << ")  churn crashes: " << c[Counter::kChurnCrashes]
+            << "\n  partition held/dropped/released: "
+            << c[Counter::kPartitionHeld] << '/' << c[Counter::kPartitionDropped]
+            << '/' << c[Counter::kPartitionReleased]
+            << "  storm copies: " << c[Counter::kStormCopies]
+            << "\n  transport: retransmits=" << c[Counter::kRetransmits]
+            << " dead letters=" << c[Counter::kDeadLetters]
+            << " (words=" << c[Counter::kDeadLetterWords] << ")"
             << "\n  verify ledger: enqueued=" << r.verify_enqueued
             << " flushed=" << r.verify_batch_flushed
             << " discarded=" << r.verify_discarded

@@ -239,6 +239,8 @@ int main(int argc, char** argv) {
   };
 
   const core::RunReport r = core::run_agreement(o, instruments);
+  const sim::CounterValues& c = r.counters;
+  using sim::Counter;
 
   std::cout << "run_report — " << core::protocol_name(o.protocol)
             << "  n=" << o.n << "  seed=" << o.seed << "  adversary=" << adv
@@ -256,15 +258,16 @@ int main(int argc, char** argv) {
             << "words (correct)   : " << r.correct_words << '\n'
             << "messages          : " << r.messages << '\n'
             << "causal duration   : " << r.duration << '\n';
-  if (r.link_drops + r.link_duplicates + r.link_replays + r.retransmits +
-          r.dead_letters >
+  if (c[Counter::kLinkDrops] + c[Counter::kLinkDuplicates] +
+          c[Counter::kLinkReplays] + c[Counter::kRetransmits] +
+          c[Counter::kDeadLetters] >
       0)
-    std::cout << "link faults       : drops=" << r.link_drops
-              << " dups=" << r.link_duplicates
-              << " replays=" << r.link_replays
-              << " retransmits=" << r.retransmits
-              << " dead-letters=" << r.dead_letters << " ("
-              << r.dead_letter_words << " words)\n";
+    std::cout << "link faults       : drops=" << c[Counter::kLinkDrops]
+              << " dups=" << c[Counter::kLinkDuplicates]
+              << " replays=" << c[Counter::kLinkReplays]
+              << " retransmits=" << c[Counter::kRetransmits]
+              << " dead-letters=" << c[Counter::kDeadLetters] << " ("
+              << c[Counter::kDeadLetterWords] << " words)\n";
   // Engine telemetry lives in the human report ONLY: the --json export
   // is the cross-shard byte-compare surface (CI diffs it across --shards
   // 1/2/4/8), so per-shard counters must never leak into Metrics.
@@ -301,18 +304,19 @@ int main(int argc, char** argv) {
   // row carries zero words, so the partition of correct_words above
   // stays exact while the verification pipeline is still accounted.
   std::cout << "  verify" << std::string(widest - 6 + 2, ' ') << 0 << "   ("
-            << r.verify_flushes << " flushes, " << r.verify_shares
-            << " shares, " << r.verify_rejects << " rejects, "
-            << r.verify_memo_hits << " memo hits)\n";
+            << c[Counter::kVerifyFlushes] << " flushes, "
+            << c[Counter::kVerifyShares] << " shares, "
+            << c[Counter::kVerifyRejects] << " rejects, "
+            << c[Counter::kVerifyMemoHits] << " memo hits)\n";
   // Same deal for the approver's deferred W-signature sweeps: zero words
   // (the ok messages were already charged), pure verification compute.
   // memo hit-rate is the run-wide dedup factor — every ok embeds the
   // SAME W signed echoes, so hits/checks ≈ 1 - 1/n in a clean run.
-  if (r.sig_verify_flushes + r.sig_checks > 0) {
+  if (c[Counter::kSigVerifyFlushes] + r.sig_checks > 0) {
     std::cout << "  sig-verify" << std::string(widest > 10 ? widest - 10 + 2 : 2, ' ')
-              << 0 << "   (" << r.sig_verify_flushes << " batches, "
-              << r.sig_verify_sigs << " sigs, " << r.sig_verify_rejects
-              << " rejects";
+              << 0 << "   (" << c[Counter::kSigVerifyFlushes]
+              << " batches, " << c[Counter::kSigVerifySigs] << " sigs, "
+              << c[Counter::kSigVerifyRejects] << " rejects";
     if (r.sig_checks > 0)
       std::cout << ", memo hit-rate "
                 << (100.0 * static_cast<double>(r.sig_memo_hits) /
@@ -323,12 +327,13 @@ int main(int argc, char** argv) {
   // Erasure-coding work is compute too: fragments already paid their
   // wire words in the initial/echo rows, so the dissemination row stays
   // at zero words and only surfaces the codec pipeline.
-  if (r.rbc_encodes + r.rbc_decodes > 0) {
+  if (c[Counter::kRbcEncodes] + c[Counter::kRbcDecodes] > 0) {
     std::cout << "  rbc-code" << std::string(widest > 8 ? widest - 8 + 2 : 2, ' ')
-              << 0 << "   (" << r.rbc_encodes << " encodes / "
-              << r.rbc_fragments_encoded << " fragments, " << r.rbc_decodes
-              << " decodes / " << r.rbc_fragments_decoded << " fragments, "
-              << r.rbc_decode_failures << " poisoned)\n";
+              << 0 << "   (" << c[Counter::kRbcEncodes] << " encodes / "
+              << c[Counter::kRbcFragmentsEncoded] << " fragments, "
+              << c[Counter::kRbcDecodes] << " decodes / "
+              << c[Counter::kRbcFragmentsDecoded] << " fragments, "
+              << c[Counter::kRbcDecodeFailures] << " poisoned)\n";
   }
   std::cout << "  total " << phase_total
             << (phase_total == r.correct_words
