@@ -309,10 +309,10 @@ RunStats run_whp_coin(std::size_t n, std::uint64_t seed) {
 /// One full BA-WHP agreement (split inputs) across n processes. The HMAC
 /// Signer here is REAL (only VRF + sampling are stubbed), so the W-sig
 /// ok-proof sweep dominates — exactly the hot path the shared
-/// BatchVerifier's SigMemo is built to collapse.
+/// BatchVerifier's signature memo is built to collapse.
 RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
   NullEnv env = make_null_env(n, seed);
-  // Legacy loop: one shared batcher so the SigMemo collapses the W-sig
+  // Legacy loop: one shared batcher so the signature memo collapses the W-sig
   // sweep across processes. Sharded handlers run concurrently, and the
   // BatchVerifier's caches are unsynchronized — each process gets a
   // private lane (verdicts are pure, so deliveries stay identical; only

@@ -1,79 +1,81 @@
-// Replicated log on top of binary agreement — the classic application
-// the paper's introduction motivates ("practical use-cases of BA in
-// large-scale systems").
+// Replicated log on top of multivalued agreement — the classic
+// application the paper's introduction motivates ("practical use-cases
+// of BA in large-scale systems").
 //
-// Each log slot holds one client command that replicas either commit (1)
-// or skip (0). Replicas receive the command proposal unreliably — some
-// see it, some don't — and agree per slot on the bit "I have the
-// command". All slots run *concurrently* over one network and one
+// Every replica holds a stream of client requests and, for each log
+// slot, proposes a batch of its own requests. The slot's multivalued BA
+// (session::LogProcess over ba::MultiValuedBa, after Cohen–Keidar)
+// adopts exactly one proposer's batch, or a no-op when every examined
+// candidate loses its race. Slots run pipelined over one network and one
 // trusted setup (the paper's §3 point: the PKI is set up once for any
-// number of BA instances). The decided log is identical at every correct
-// replica; a few replicas are Byzantine-silent throughout.
+// number of BA instances). The committed log is identical at every
+// correct replica; a few replicas are Byzantine-silent throughout.
 //
-//   ./replicated_log [--n 64] [--slots 8] [--seed 1] [--loss 0.3]
-#include <iomanip>
+//   ./replicated_log [--n 48] [--slots 8] [--seed 1] [--batch 4]
+//                    [--depth 4] [--silent 2] [--rbc bracha|ec]
+#include <algorithm>
 #include <iostream>
-#include <vector>
+#include <string>
 
+#include "ba/broadcast.h"
 #include "common/args.h"
-#include "common/rng.h"
 #include "common/table.h"
-#include "core/session.h"
+#include "core/env.h"
+#include "session/log_driver.h"
 
 using namespace coincidence;
 
 int main(int argc, char** argv) {
   Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 64));
-  const auto slots = static_cast<std::size_t>(args.get_int("slots", 8));
+  const auto n = static_cast<std::size_t>(args.get_int("n", 48));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const double loss = args.get_double("loss", 0.3);
-
-  std::cout << "replicated log: " << slots << " concurrent slots over " << n
-            << " replicas, command propagation loss " << loss << "\n\n";
-
-  Rng rng(seed);
-  std::vector<std::vector<ba::Value>> inputs(slots,
-                                             std::vector<ba::Value>(n, 0));
-  std::vector<std::size_t> holders(slots, 0);
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    // The client's command reaches each replica with probability 1-loss.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!rng.next_bool(loss)) {
-        inputs[slot][i] = ba::kOne;
-        ++holders[slot];
-      }
-    }
+  const auto rbc = ba::parse_rbc_backend(args.get("rbc", "bracha"));
+  if (!rbc) {
+    std::cerr << "replicated_log: --rbc must be bracha or ec\n";
+    return 2;
   }
 
-  core::Session session(core::Env::make_relaxed(n, seed));
-  core::SessionReport report =
-      session.run_concurrent_slots(inputs, seed, /*silent_faults=*/2);
+  session::LogRunOptions opts;
+  opts.slots = static_cast<std::size_t>(args.get_int("slots", 8));
+  opts.batch_size = static_cast<std::size_t>(args.get_int("batch", 4));
+  opts.pipeline_depth = static_cast<std::size_t>(args.get_int("depth", 4));
+  opts.silent_faults = static_cast<std::size_t>(args.get_int("silent", 2));
+  opts.sim_seed = seed;
+  opts.rbc = *rbc;
 
-  std::vector<std::string> committed;
-  Table table({"slot", "command", "replicas holding it", "decision",
-               "rounds"});
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    const core::SlotReport& sr = report.slots[slot];
-    std::string command = "cmd-" + std::to_string(slot);
-    std::string decision = "stalled";
-    if (sr.all_correct_decided) {
-      decision = *sr.decision == 1 ? "COMMIT" : "skip";
-      if (*sr.decision == 1) committed.push_back(command);
+  std::cout << "replicated log: " << opts.slots << " slots over " << n
+            << " replicas (" << opts.silent_faults << " silent), batches of "
+            << opts.batch_size << " requests, pipeline depth "
+            << opts.pipeline_depth << ", " << ba::to_string(*rbc)
+            << " dissemination\n\n";
+
+  const session::LogReport report =
+      session::run_replicated_log(core::Env::make_relaxed(n, seed), opts);
+
+  Table table({"slot", "committed", "requests", "first request"});
+  for (std::size_t slot = 0; slot < report.log.size(); ++slot) {
+    const Bytes& batch = report.log[slot];
+    if (batch.empty()) {
+      table.add_row({std::to_string(slot), "no-op", "0", "-"});
+      continue;
     }
-    table.add_row({std::to_string(slot), command,
-                   std::to_string(holders[slot]) + "/" + std::to_string(n),
-                   decision, std::to_string(sr.max_decided_round)});
+    // A batch is the proposer's newline-joined request tokens.
+    const auto requests = 1 + std::count(batch.begin(), batch.end(), '\n');
+    const std::string first(batch.begin(),
+                            std::find(batch.begin(), batch.end(), '\n'));
+    table.add_row({std::to_string(slot), "batch", std::to_string(requests),
+                   first});
   }
-
   table.print(std::cout);
-  std::cout << "\ntotal words across all concurrent slots: "
-            << Table::count(report.correct_words) << "\n";
-  std::cout << "\nfinal log at every correct replica:";
-  if (committed.empty()) std::cout << " (empty)";
-  for (const auto& c : committed) std::cout << ' ' << c;
-  std::cout << "\n\nBA validity in action: slots whose command reached "
-               "every replica always commit;\nslots nobody saw are always "
-               "skipped; mixed slots agree on one of the two.\n";
-  return 0;
+
+  std::cout << "\nall correct replicas committed every slot: "
+            << (report.all_committed ? "yes" : "NO")
+            << "\nlogs byte-identical across correct replicas: "
+            << (report.agreement ? "yes" : "NO")
+            << "\nlog fingerprint (sha256): " << report.fingerprint
+            << "\nrequests committed: " << report.requests_committed << " ("
+            << report.noop_slots << " no-op slots)"
+            << "\ncorrect words: " << Table::count(report.correct_words)
+            << " (" << Table::count(report.words_per_slot) << " per slot)\n";
+  return report.all_committed && report.agreement ? 0 : 1;
 }

@@ -142,7 +142,7 @@ bool Approver::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   if (!is_valid_value(v)) return true;
   if (!cfg_.sampler->committee_val(echo_seed(v), msg.from, election))
     return true;
-  // The signature check answers from the run-wide SigMemo when a batcher
+  // The signature check answers from the run-wide signature memo when a batcher
   // is shared: a broadcast ⟨echo,v⟩ reaches n receivers but its HMAC is
   // recomputed once. Verdicts are identical to Signer::verify.
   const crypto::SigBatchEntry entry{msg.from, BytesView(echo_sign_bytes(v)),

@@ -25,7 +25,7 @@
 // per-value/per-sender tracking uses flat arrays and bitmaps, and — when
 // a coin::BatchVerifier is configured — the W-signature sweep of each
 // <ok> is deferred into a pending queue flushed at threshold/watermark,
-// where the run-wide SigMemo collapses the n·W redundant HMAC checks to
+// where the run-wide signature memo collapses the n·W redundant HMAC checks to
 // ~W (every ok embeds the SAME signed echoes). Accept/reject sets and
 // all protocol state evolution are bit-identical to inline verification.
 #pragma once
@@ -60,7 +60,7 @@ class Approver {
     /// When set, the W+1 election proofs inside each <ok> message are
     /// checked in one committee_val_batch call (folded multi-exp + memo),
     /// the W HMAC echo signatures are deferred into a pending-ok queue
-    /// flushed through BatchVerifier::verify_signatures (SigMemo-dedup'd
+    /// flushed through BatchVerifier::verify_signatures (memo-dedup'd
     /// across ok messages and receivers), and echo signatures answer from
     /// the same memo. Accept/reject verdicts are identical either way —
     /// committee_val and HMAC verification are pure.

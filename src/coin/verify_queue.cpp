@@ -122,7 +122,7 @@ BatchVerifier::FlushStats BatchVerifier::verify_signatures(
       ++stats.memo_hits;
       continue;
     }
-    const std::uint64_t fp = crypto::SigMemo::fingerprint(entries[i]);
+    const std::uint64_t fp = crypto::VerdictMemo::fingerprint(entries[i]);
     std::size_t u = unique.size();
     auto [lo, hi] = unique_by_fp.equal_range(fp);
     for (auto it = lo; it != hi; ++it)

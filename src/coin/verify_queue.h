@@ -31,9 +31,8 @@
 #include "common/parallel.h"
 #include "common/shared_bytes.h"
 #include "committee/sampler.h"
-#include "crypto/sig_memo.h"
 #include "crypto/signer.h"
-#include "crypto/verify_memo.h"
+#include "crypto/verdict_memo.h"
 #include "crypto/vrf.h"
 
 namespace coincidence::coin {
@@ -99,8 +98,8 @@ class BatchVerifier {
                        bool* memo_hit = nullptr);
 
   std::size_t watermark() const { return cfg_.watermark; }
-  const crypto::VerifyMemo& memo() const { return memo_; }
-  const crypto::SigMemo& sig_memo() const { return sig_memo_; }
+  const crypto::VerdictMemo& memo() const { return memo_; }
+  const crypto::VerdictMemo& sig_memo() const { return sig_memo_; }
 
   /// Cumulative counters across all flushes (all processes of the run).
   std::uint64_t batches() const { return batches_; }
@@ -129,8 +128,8 @@ class BatchVerifier {
 
  private:
   Config cfg_;
-  crypto::VerifyMemo memo_;
-  crypto::SigMemo sig_memo_;
+  crypto::VerdictMemo memo_;
+  crypto::VerdictMemo sig_memo_;
   std::uint64_t batches_ = 0;
   std::uint64_t shares_ = 0;
   std::uint64_t rejects_ = 0;

@@ -1,10 +1,9 @@
 // Shared thread pool + order-preserving fan-out helper.
 //
-// Lives in common/ (rather than core/, where it started) so that lower
-// layers — notably the coin layer's batch share verification — can fan
-// work out without depending on the experiment runner. core/parallel.h
-// re-exports these names for its callers and layers the run_agreement
-// driver on top.
+// Lives in common/ so that lower layers — notably the coin layer's batch
+// share verification — can fan work out without depending on the
+// experiment runner; core::run_agreements_parallel (core/runner.h)
+// layers the run_agreement driver on top.
 //
 // Work items execute on whatever thread grabs them, but results are
 // stored by input index, so parallel_map's output vector is

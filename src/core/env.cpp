@@ -20,6 +20,15 @@ Env build(committee::Params params, std::size_t n, std::uint64_t seed) {
 }
 }  // namespace
 
+Env Env::lane() const {
+  Env lane = *this;
+  lane.sampler = std::make_shared<committee::CachingSampler>(
+      vrf, registry, params.sample_prob());
+  lane.batcher = std::make_shared<coin::BatchVerifier>(
+      coin::BatchVerifier::Config{vrf, lane.sampler, signer});
+  return lane;
+}
+
 Env Env::make(std::size_t n, double epsilon, double d, std::uint64_t seed,
               bool strict) {
   return build(committee::Params::derive(n, epsilon, d, strict), n, seed);

@@ -33,6 +33,13 @@ struct Env {
   std::size_t n() const { return params.n; }
   std::size_t f() const { return params.f; }
 
+  /// The same keys, VRF and signer with a private sampler cache and
+  /// BatchVerifier — one per process on the sharded engine, whose
+  /// handlers run concurrently. Verdicts are pure functions of their
+  /// inputs, so a run's decisions, sends and words are the same as with
+  /// the shared state; only cross-process memo-hit counts differ.
+  Env lane() const;
+
   /// Builds an environment with explicit parameters. strict=true enforces
   /// the paper's ε/d windows (§2, §5.1); strict=false waives the
   /// lower-bound constants for small-n exploration (DESIGN.md §6).

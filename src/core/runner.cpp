@@ -203,12 +203,9 @@ RunReport run_agreement(const RunOptions& options,
       -> std::pair<std::shared_ptr<committee::Sampler>,
                    std::shared_ptr<coin::BatchVerifier>> {
     if (!sharded) return {env.sampler, env.batcher};
-    auto sampler = std::make_shared<committee::CachingSampler>(
-        env.vrf, env.registry, env.params.sample_prob());
-    auto batcher = std::make_shared<coin::BatchVerifier>(
-        coin::BatchVerifier::Config{env.vrf, sampler, env.signer});
-    lane_batchers[id] = batcher;
-    return {sampler, batcher};
+    Env lane = env.lane();
+    lane_batchers[id] = lane.batcher;
+    return {lane.sampler, lane.batcher};
   };
 
   auto make_process =
@@ -451,6 +448,12 @@ RunReport run_agreement(const RunOptions& options,
     report.sig_memo_hits = env.batcher->sig_memo().hits();
   }
   return report;
+}
+
+std::vector<RunReport> run_agreements_parallel(
+    ThreadPool& pool, const std::vector<RunOptions>& options) {
+  return parallel_map(pool, options.size(),
+                      [&](std::size_t i) { return run_agreement(options[i]); });
 }
 
 }  // namespace coincidence::core

@@ -13,6 +13,7 @@
 
 #include "ba/broadcast.h"
 #include "ba/value.h"
+#include "common/parallel.h"
 #include "core/env.h"
 #include "sim/chaos.h"
 #include "sim/fault.h"
@@ -216,5 +217,13 @@ RunReport run_agreement(const RunOptions& options);
 /// Same run, with telemetry attached (tools/run_report drives this).
 RunReport run_agreement(const RunOptions& options,
                         const RunInstruments& instruments);
+
+/// Runs every RunOptions to completion on the pool — the fan-out behind
+/// chaos sweeps and word-scaling curves. reports[i] is the report for
+/// options[i], byte-identical to calling run_agreement(options[i])
+/// serially: each run builds its own Env/Simulation from its seeded
+/// options, and results merge in input order, not completion order.
+std::vector<RunReport> run_agreements_parallel(
+    ThreadPool& pool, const std::vector<RunOptions>& options);
 
 }  // namespace coincidence::core

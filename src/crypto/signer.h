@@ -41,7 +41,7 @@ class Signer {
   /// message changes between consecutive entries (the approver's W-entry
   /// sweep signs ONE message), and all verification runs against stack
   /// digests — no per-entry heap traffic. Callers wanting cross-batch
-  /// dedup wrap this with a SigMemo (see coin::BatchVerifier).
+  /// dedup wrap this with a VerdictMemo (see coin::BatchVerifier).
   void batch_verify(std::span<const SigBatchEntry> entries,
                     std::vector<char>& out) const;
 

@@ -49,8 +49,17 @@ LogReport run_replicated_log(const core::Env& env,
                           ? auto_skip_timeout(n, opts.pipeline_depth)
                           : opts.skip_timeout;
 
-  for (std::size_t i = 0; i < n; ++i)
-    sim.add_process(std::make_unique<LogProcess>(lcfg));
+  for (std::size_t i = 0; i < n; ++i) {
+    LogConfig process_cfg = lcfg;
+    if (opts.shards > 0) {
+      // Concurrent handlers: a private sampler cache and BatchVerifier
+      // per process (see core::Env::lane).
+      const core::Env lane = env.lane();
+      process_cfg.sampler = lane.sampler;
+      process_cfg.batcher = lane.batcher;
+    }
+    sim.add_process(std::make_unique<LogProcess>(std::move(process_cfg)));
+  }
   sim::ProcessId next = static_cast<sim::ProcessId>(n);
   for (std::size_t i = 0; i < opts.silent_faults; ++i)
     sim.corrupt(--next, sim::FaultPlan::silent());
@@ -87,8 +96,10 @@ LogReport run_replicated_log(const core::Env& env,
       first_fp = fp;
       report.fingerprint = to_hex(fp);
       report.requests_committed = log.requests_committed();
-      for (std::size_t s = 0; s < opts.slots; ++s)
-        if (log.committed(s).empty()) ++report.noop_slots;
+      for (std::size_t s = 0; s < opts.slots; ++s) {
+        report.log.push_back(log.committed(s));
+        if (report.log.back().empty()) ++report.noop_slots;
+      }
     } else if (fp != first_fp) {
       report.agreement = false;
     }

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/env.h"
 #include "session/replicated_log.h"
 
@@ -49,6 +50,8 @@ struct LogReport {
   bool agreement = true;
   std::uint64_t requests_committed = 0;  // per correct process
   std::size_t noop_slots = 0;
+  /// The committed log, slot by slot (an empty entry is a no-op slot).
+  std::vector<Bytes> log;
 
   std::uint64_t deliveries = 0;
   std::uint64_t correct_words = 0;

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel.h"
+#include "common/parallel.h"
 #include "core/runner.h"
 #include "sim/chaos.h"
 

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel.h"
+#include "common/parallel.h"
 #include "core/runner.h"
 
 namespace coincidence::core {

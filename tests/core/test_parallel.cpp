@@ -9,7 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/parallel.h"
+#include "common/parallel.h"
+#include "core/runner.h"
 
 namespace coincidence::core {
 namespace {

@@ -2,7 +2,7 @@
 // and reject EXACTLY the entries per-proof verify() would — under honest
 // batches, adversarial per-field mutations, and every mix in between —
 // and its DRBG combiner must be deterministic across replays and thread
-// counts. The BatchVerifier/VerifyMemo plumbing on top is covered here
+// counts. The BatchVerifier/VerdictMemo plumbing on top is covered here
 // too, since its contract is the same bit-identity.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,7 @@
 #include "crypto/ddh_vrf.h"
 #include "crypto/fast_vrf.h"
 #include "crypto/key_registry.h"
-#include "crypto/verify_memo.h"
+#include "crypto/verdict_memo.h"
 
 namespace coincidence::crypto {
 namespace {
@@ -276,7 +276,7 @@ TEST(VerifyMemoTest, CachesPositiveAndNegativeVerdicts) {
   b.values[1][0] ^= 0x01;
   auto es = b.entries();
 
-  VerifyMemo memo;
+  VerdictMemo memo;
   EXPECT_FALSE(memo.lookup(es[0]).has_value());
   memo.store(es[0], true);
   memo.store(es[1], false);

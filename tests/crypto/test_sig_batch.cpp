@@ -1,6 +1,6 @@
 // Batched + memoized signature verification (the approver ok-path
 // tentpole): Signer::batch_verify must agree entry-for-entry with the
-// single-shot verify() oracle, and SigMemo must cache verdicts by the
+// single-shot verify() oracle, and VerdictMemo must cache verdicts by the
 // FULL (signer, message, sig) triple — a forged signature caches its own
 // negative verdict without poisoning the honest pair, because the honest
 // signature is a different key.
@@ -12,7 +12,7 @@
 #include "coin/verify_queue.h"
 #include "crypto/fast_vrf.h"
 #include "crypto/key_registry.h"
-#include "crypto/sig_memo.h"
+#include "crypto/verdict_memo.h"
 #include "crypto/signer.h"
 
 namespace coincidence::crypto {
@@ -102,7 +102,7 @@ TEST_F(SigBatchTest, AlternatingMessagesRetagCorrectly) {
 }
 
 TEST_F(SigBatchTest, MemoMissThenHitWithCounters) {
-  SigMemo memo;
+  VerdictMemo memo;
   Bytes m = bytes_of("m");
   Bytes s = signer_.sign(0, m);
   SigBatchEntry e = entry(0, m, s);
@@ -121,7 +121,7 @@ TEST_F(SigBatchTest, MemoMissThenHitWithCounters) {
 // signature for the same (signer, message) is a distinct key — it still
 // misses (first time) and verifies true, whatever order the two arrive.
 TEST_F(SigBatchTest, BadSignatureDoesNotPoisonHonestPair) {
-  SigMemo memo;
+  VerdictMemo memo;
   Bytes m = bytes_of("ba|echo|1");
   Bytes honest = signer_.sign(3, m);
   Bytes forged = honest;
@@ -151,7 +151,7 @@ TEST_F(SigBatchTest, BadSignatureDoesNotPoisonHonestPair) {
 // Key fields must not blur into each other: shifting a byte across the
 // message/sig boundary or changing the signer is a different key.
 TEST_F(SigBatchTest, MemoKeysFieldBoundaries) {
-  SigMemo memo;
+  VerdictMemo memo;
   Bytes m_ab = bytes_of("ab"), m_a = bytes_of("a");
   Bytes s_c = bytes_of("c"), s_bc = bytes_of("bc");
   memo.store(SigBatchEntry{1, BytesView(m_ab), BytesView(s_c)}, true);
@@ -162,7 +162,7 @@ TEST_F(SigBatchTest, MemoKeysFieldBoundaries) {
 }
 
 TEST_F(SigBatchTest, MemoRestoreOverwrites) {
-  SigMemo memo;
+  VerdictMemo memo;
   Bytes m = bytes_of("m");
   Bytes s = signer_.sign(0, m);
   SigBatchEntry e = entry(0, m, s);

@@ -32,7 +32,7 @@
 
 #include "common/args.h"
 #include "common/errors.h"
-#include "core/parallel.h"
+#include "common/parallel.h"
 #include "core/runner.h"
 #include "sim/chaos.h"
 #include "sim/observer.h"
@@ -219,7 +219,7 @@ int run_sweep(const Args& args) {
     cells.push_back(&cell);
   }
 
-  core::ThreadPool pool(threads);
+  ThreadPool pool(threads);
   const std::vector<core::RunReport> reports =
       core::run_agreements_parallel(pool, options);
 

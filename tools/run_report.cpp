@@ -40,7 +40,7 @@
 
 #include "committee/params.h"
 #include "common/args.h"
-#include "core/parallel.h"
+#include "common/parallel.h"
 #include "core/runner.h"
 #include "sim/trace.h"
 
@@ -381,7 +381,7 @@ int main(int argc, char** argv) {
   if (samples > 1) {
     std::vector<core::RunOptions> fan(samples, o);
     for (std::size_t i = 0; i < samples; ++i) fan[i].seed = o.seed + i;
-    core::ThreadPool pool(threads);
+    ThreadPool pool(threads);
     const auto reports = core::run_agreements_parallel(pool, fan);
     std::map<std::uint64_t, std::size_t> by_round;
     std::size_t undecided = 0;
