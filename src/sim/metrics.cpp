@@ -199,9 +199,11 @@ void Metrics::record_decide(std::uint64_t round, std::uint64_t depth) {
 
 void Metrics::to_json(std::ostream& os) const {
   os << "{\"totals\":{";
+  bool first = true;
   for (const CounterInfo& row : kCounterTable) {
-    if (row.id != Counter::kCorrectWords) os << ',';
+    if (!first) os << ',';
     os << '"' << row.key << "\":" << counters_[row.id];
+    first = false;
   }
   os << '}';
 
@@ -209,7 +211,7 @@ void Metrics::to_json(std::ostream& os) const {
   json_escape(os, decide_rounds_.summary());
 
   os << ",\"words_by_phase\":{";
-  bool first = true;
+  first = true;
   for (const auto& [phase, words] : words_by_phase()) {
     if (!first) os << ',';
     json_escape(os, phase);

@@ -18,6 +18,8 @@
 namespace coincidence::core {
 namespace {
 
+using sim::Counter;
+
 /// Mirror of tools/chaos_run.cpp sweep_grid(): one full cycle is 90
 /// cells — 13 copies x 6 presets on the cheap n=4 shared-coin protocol
 /// plus 6 presets each for the two n=32 committee protocols. The presets
@@ -95,11 +97,16 @@ void expect_reports_equal(const RunReport& a, const RunReport& b,
   EXPECT_EQ(a.correct_words, b.correct_words) << label;
   EXPECT_EQ(a.messages, b.messages) << label;
   EXPECT_EQ(a.corrupted, b.corrupted) << label;
-  EXPECT_EQ(a.counters[sim::Counter::kPartitionHeld], b.counters[sim::Counter::kPartitionHeld]) << label;
-  EXPECT_EQ(a.counters[sim::Counter::kPartitionDropped], b.counters[sim::Counter::kPartitionDropped]) << label;
-  EXPECT_EQ(a.counters[sim::Counter::kPartitionReleased], b.counters[sim::Counter::kPartitionReleased]) << label;
-  EXPECT_EQ(a.counters[sim::Counter::kStormCopies], b.counters[sim::Counter::kStormCopies]) << label;
-  EXPECT_EQ(a.counters[sim::Counter::kChurnCrashes], b.counters[sim::Counter::kChurnCrashes]) << label;
+  EXPECT_EQ(a.counters[Counter::kPartitionHeld],
+            b.counters[Counter::kPartitionHeld]) << label;
+  EXPECT_EQ(a.counters[Counter::kPartitionDropped],
+            b.counters[Counter::kPartitionDropped]) << label;
+  EXPECT_EQ(a.counters[Counter::kPartitionReleased],
+            b.counters[Counter::kPartitionReleased]) << label;
+  EXPECT_EQ(a.counters[Counter::kStormCopies],
+            b.counters[Counter::kStormCopies]) << label;
+  EXPECT_EQ(a.counters[Counter::kChurnCrashes],
+            b.counters[Counter::kChurnCrashes]) << label;
   EXPECT_EQ(a.invariant_violations.size(), b.invariant_violations.size())
       << label;
 }
@@ -139,7 +146,8 @@ TEST(ChaosOrchestration, QuickSweepHoldsEveryInvariant) {
     EXPECT_EQ(r.verify_enqueued, r.verify_batch_flushed + r.verify_discarded)
         << labels[i];
     // Partitions healed: everything held was released.
-    EXPECT_EQ(r.counters[sim::Counter::kPartitionHeld], r.counters[sim::Counter::kPartitionReleased]) << labels[i];
+    EXPECT_EQ(r.counters[Counter::kPartitionHeld],
+              r.counters[Counter::kPartitionReleased]) << labels[i];
   }
 }
 
@@ -253,16 +261,17 @@ TEST(ChaosOrchestration, PartitionHealOverReliableChannelDrainsExactlyOnce) {
   ASSERT_TRUE(report.decision.has_value());
   EXPECT_EQ(*report.decision, 1);
   // The partition really dropped traffic, and repair really happened.
-  EXPECT_GT(report.counters[sim::Counter::kPartitionDropped], 0u);
-  EXPECT_EQ(report.counters[sim::Counter::kPartitionHeld], 0u);  // drop mode buffers nothing
-  EXPECT_GT(report.counters[sim::Counter::kRetransmits], 0u);
-  EXPECT_GT(report.counters[sim::Counter::kRetransmitWords], 0u);
+  EXPECT_GT(report.counters[Counter::kPartitionDropped], 0u);
+  // Drop mode buffers nothing.
+  EXPECT_EQ(report.counters[Counter::kPartitionHeld], 0u);
+  EXPECT_GT(report.counters[Counter::kRetransmits], 0u);
+  EXPECT_GT(report.counters[Counter::kRetransmitWords], 0u);
   // Accounting partitions exactly: repair words and abandoned frames are
   // outside the §2 measure, and abandoned frames are bounded by traffic
   // that actually went on the wire.
   EXPECT_GT(report.correct_words, 0u);
-  EXPECT_LE(report.counters[sim::Counter::kDeadLetterWords],
-            report.correct_words + report.counters[sim::Counter::kRetransmitWords]);
+  EXPECT_LE(report.counters[Counter::kDeadLetterWords],
+            report.correct_words + report.counters[Counter::kRetransmitWords]);
 }
 
 // The adaptive hunter obeys the corruption budget even stacked on top of
@@ -291,7 +300,7 @@ TEST(ChaosOrchestration, AdaptiveHunterPlusChurnStaysWithinBudget) {
   EXPECT_EQ(*report.decision, 0);
   EXPECT_LE(report.corrupted, report.protocol_f);
   EXPECT_GT(report.corrupted, 0u);  // the hostility was real
-  EXPECT_GT(report.counters[sim::Counter::kChurnCrashes], 0u);
+  EXPECT_GT(report.counters[Counter::kChurnCrashes], 0u);
 }
 
 }  // namespace

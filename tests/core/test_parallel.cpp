@@ -15,6 +15,8 @@
 namespace coincidence::core {
 namespace {
 
+using sim::Counter;
+
 void expect_reports_equal(const RunReport& a, const RunReport& b) {
   EXPECT_EQ(a.all_correct_decided, b.all_correct_decided);
   EXPECT_EQ(a.agreement, b.agreement);
@@ -26,11 +28,15 @@ void expect_reports_equal(const RunReport& a, const RunReport& b) {
   EXPECT_EQ(a.words_by_tag, b.words_by_tag);
   EXPECT_EQ(a.faulty, b.faulty);
   EXPECT_EQ(a.protocol_f, b.protocol_f);
-  EXPECT_EQ(a.counters[sim::Counter::kLinkDrops], b.counters[sim::Counter::kLinkDrops]);
-  EXPECT_EQ(a.counters[sim::Counter::kLinkDuplicates], b.counters[sim::Counter::kLinkDuplicates]);
-  EXPECT_EQ(a.counters[sim::Counter::kLinkReplays], b.counters[sim::Counter::kLinkReplays]);
-  EXPECT_EQ(a.counters[sim::Counter::kRetransmits], b.counters[sim::Counter::kRetransmits]);
-  EXPECT_EQ(a.counters[sim::Counter::kRetransmitWords], b.counters[sim::Counter::kRetransmitWords]);
+  EXPECT_EQ(a.counters[Counter::kLinkDrops], b.counters[Counter::kLinkDrops]);
+  EXPECT_EQ(a.counters[Counter::kLinkDuplicates],
+            b.counters[Counter::kLinkDuplicates]);
+  EXPECT_EQ(a.counters[Counter::kLinkReplays],
+            b.counters[Counter::kLinkReplays]);
+  EXPECT_EQ(a.counters[Counter::kRetransmits],
+            b.counters[Counter::kRetransmits]);
+  EXPECT_EQ(a.counters[Counter::kRetransmitWords],
+            b.counters[Counter::kRetransmitWords]);
 }
 
 std::vector<RunOptions> mixed_workload() {

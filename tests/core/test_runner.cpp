@@ -8,6 +8,8 @@
 namespace coincidence::core {
 namespace {
 
+using sim::Counter;
+
 TEST(Env, MakeRelaxedWiresEverything) {
   Env env = Env::make_relaxed(40, 9);
   EXPECT_EQ(env.n(), 40u);
@@ -158,11 +160,11 @@ TEST(Runner, DeferredVerificationIsBitIdenticalToInline) {
       EXPECT_EQ(inline_r.duration, deferred_r.duration);
       EXPECT_EQ(inline_r.words_by_tag, deferred_r.words_by_tag);
       // The deferred run actually went through the batch plane...
-      EXPECT_GT(deferred_r.counters[sim::Counter::kVerifyFlushes], 0u);
-      EXPECT_GT(deferred_r.counters[sim::Counter::kVerifyShares], 0u);
+      EXPECT_GT(deferred_r.counters[Counter::kVerifyFlushes], 0u);
+      EXPECT_GT(deferred_r.counters[Counter::kVerifyShares], 0u);
       // ...and the inline run never did.
-      EXPECT_EQ(inline_r.counters[sim::Counter::kVerifyFlushes], 0u);
-      EXPECT_EQ(inline_r.counters[sim::Counter::kVerifyShares], 0u);
+      EXPECT_EQ(inline_r.counters[Counter::kVerifyFlushes], 0u);
+      EXPECT_EQ(inline_r.counters[Counter::kVerifyShares], 0u);
     }
   }
 }
@@ -179,7 +181,7 @@ TEST(Runner, DeferredVerificationCountsJunkRejects) {
   o.junk = 2;
   RunReport r = run_agreement(o);
   EXPECT_TRUE(r.all_correct_decided);
-  EXPECT_GT(r.counters[sim::Counter::kVerifyShares], 0u);
+  EXPECT_GT(r.counters[Counter::kVerifyShares], 0u);
 }
 
 TEST(Runner, InstrumentedRunMatchesBareRun) {

@@ -255,17 +255,22 @@ TEST(ChaosSim, CombinedScheduleIsSeedDeterministic) {
   auto a = run(9);
   auto b = run(9);
   auto c = run(10);
-  EXPECT_EQ(a->metrics().counter(sim::Counter::kStormCopies), b->metrics().counter(sim::Counter::kStormCopies));
-  EXPECT_EQ(a->metrics().counter(sim::Counter::kPartitionHeld), b->metrics().counter(sim::Counter::kPartitionHeld));
-  EXPECT_EQ(a->metrics().counter(sim::Counter::kChurnCrashes), b->metrics().counter(sim::Counter::kChurnCrashes));
+  EXPECT_EQ(a->metrics().counter(sim::Counter::kStormCopies),
+            b->metrics().counter(sim::Counter::kStormCopies));
+  EXPECT_EQ(a->metrics().counter(sim::Counter::kPartitionHeld),
+            b->metrics().counter(sim::Counter::kPartitionHeld));
+  EXPECT_EQ(a->metrics().counter(sim::Counter::kChurnCrashes),
+            b->metrics().counter(sim::Counter::kChurnCrashes));
   EXPECT_EQ(a->metrics().correct_words(), b->metrics().correct_words());
   EXPECT_EQ(a->deliveries(), b->deliveries());
   for (ProcessId i = 0; i < 4; ++i)
     EXPECT_EQ(received_of(*a, i), received_of(*b, i)) << i;
   // Different seed: the storm draws a different burst pattern. (The
   // partition/churn phases are schedule-driven and stay identical.)
-  EXPECT_EQ(a->metrics().counter(sim::Counter::kPartitionHeld), c->metrics().counter(sim::Counter::kPartitionHeld));
-  EXPECT_EQ(a->metrics().counter(sim::Counter::kChurnCrashes), c->metrics().counter(sim::Counter::kChurnCrashes));
+  EXPECT_EQ(a->metrics().counter(sim::Counter::kPartitionHeld),
+            c->metrics().counter(sim::Counter::kPartitionHeld));
+  EXPECT_EQ(a->metrics().counter(sim::Counter::kChurnCrashes),
+            c->metrics().counter(sim::Counter::kChurnCrashes));
 }
 
 // ------------------------------------------------- InvariantChecker ------

@@ -24,6 +24,8 @@
 namespace coincidence {
 namespace {
 
+using sim::Counter;
+
 /// FNV-1a over the trace's canonical dump — one number pinning the exact
 /// event sequence (ids, endpoints, tags, word counts, sender flags).
 std::uint64_t trace_hash(const sim::TraceRecorder& trace) {
@@ -44,11 +46,12 @@ std::string fingerprint(const sim::Simulation& sim,
   std::ostringstream os;
   os << "decisions=" << decisions << "\n";
   os << "correct_words=" << sim.metrics().correct_words() << "\n";
-  os << "total_words=" << sim.metrics().counter(sim::Counter::kTotalWords) << "\n";
+  os << "total_words=" << sim.metrics().counter(Counter::kTotalWords) << "\n";
   os << "messages_sent=" << sim.metrics().messages_sent() << "\n";
-  os << "deliveries=" << sim.metrics().counter(sim::Counter::kDeliveries) << "\n";
-  os << "link_duplicates=" << sim.metrics().counter(sim::Counter::kLinkDuplicates) << "\n";
-  os << "link_replays=" << sim.metrics().counter(sim::Counter::kLinkReplays) << "\n";
+  os << "deliveries=" << sim.metrics().counter(Counter::kDeliveries) << "\n";
+  os << "link_duplicates=" << sim.metrics().counter(Counter::kLinkDuplicates)
+     << "\n";
+  os << "link_replays=" << sim.metrics().counter(Counter::kLinkReplays) << "\n";
   os << "words_by_tag=";
   for (const auto& [tag, words] : sim.metrics().words_by_tag())
     os << tag << ":" << words << ";";

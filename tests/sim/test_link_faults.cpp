@@ -69,7 +69,8 @@ TEST(LinkFaults, LosslessProfileMatchesDefault) {
   }
   for (ProcessId i = 0; i < 4; ++i)
     EXPECT_EQ(received(*plain, i), received(*lossless, i)) << i;
-  EXPECT_EQ(plain->metrics().counter(sim::Counter::kDeliveries), lossless->metrics().counter(sim::Counter::kDeliveries));
+  EXPECT_EQ(plain->metrics().counter(sim::Counter::kDeliveries),
+            lossless->metrics().counter(sim::Counter::kDeliveries));
   EXPECT_EQ(lossless->metrics().counter(sim::Counter::kLinkDrops), 0u);
   EXPECT_EQ(lossless->metrics().counter(sim::Counter::kLinkDuplicates), 0u);
   EXPECT_EQ(lossless->metrics().counter(sim::Counter::kLinkReplays), 0u);
@@ -135,7 +136,8 @@ TEST(LinkFaults, ReplayResurrectsDeliveredMessages) {
   // originals. All traffic is broadcasts, so of every 4 sends exactly 3
   // cross the network (the 4th is the free self copy).
   const std::uint64_t cross = sim->metrics().messages_sent() * 3 / 4;
-  EXPECT_EQ(sim->metrics().counter(sim::Counter::kDeliveries), cross + sim->metrics().counter(sim::Counter::kLinkReplays));
+  EXPECT_EQ(sim->metrics().counter(sim::Counter::kDeliveries),
+            cross + sim->metrics().counter(sim::Counter::kLinkReplays));
 }
 
 TEST(LinkFaults, PerLinkOverrideAffectsOnlyThatLink) {
@@ -168,10 +170,14 @@ TEST(LinkFaults, SameSeedSameChaos) {
   auto b = run(31);
   for (ProcessId i = 0; i < 5; ++i)
     EXPECT_EQ(received(*a, i), received(*b, i)) << i;
-  EXPECT_EQ(a->metrics().counter(sim::Counter::kDeliveries), b->metrics().counter(sim::Counter::kDeliveries));
-  EXPECT_EQ(a->metrics().counter(sim::Counter::kLinkDrops), b->metrics().counter(sim::Counter::kLinkDrops));
-  EXPECT_EQ(a->metrics().counter(sim::Counter::kLinkDuplicates), b->metrics().counter(sim::Counter::kLinkDuplicates));
-  EXPECT_EQ(a->metrics().counter(sim::Counter::kLinkReplays), b->metrics().counter(sim::Counter::kLinkReplays));
+  EXPECT_EQ(a->metrics().counter(sim::Counter::kDeliveries),
+            b->metrics().counter(sim::Counter::kDeliveries));
+  EXPECT_EQ(a->metrics().counter(sim::Counter::kLinkDrops),
+            b->metrics().counter(sim::Counter::kLinkDrops));
+  EXPECT_EQ(a->metrics().counter(sim::Counter::kLinkDuplicates),
+            b->metrics().counter(sim::Counter::kLinkDuplicates));
+  EXPECT_EQ(a->metrics().counter(sim::Counter::kLinkReplays),
+            b->metrics().counter(sim::Counter::kLinkReplays));
   EXPECT_EQ(a->metrics().messages_sent(), b->metrics().messages_sent());
 }
 

@@ -104,7 +104,8 @@ TEST(Metrics, DetailOffRecordsNoHistograms) {
   m.record_delivery(msg("a/b", 4), /*latency=*/9);
   EXPECT_TRUE(m.by_tag().empty());
   EXPECT_TRUE(m.by_phase().empty());
-  EXPECT_EQ(m.counter(Counter::kDeliveries), 1u);  // headline counters unaffected
+  // Headline counters are unaffected.
+  EXPECT_EQ(m.counter(Counter::kDeliveries), 1u);
 }
 
 TEST(Metrics, DetailHistogramsTrackWordsDepthLatency) {

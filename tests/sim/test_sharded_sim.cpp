@@ -30,6 +30,8 @@
 namespace coincidence {
 namespace {
 
+using sim::Counter;
+
 struct RunSurface {
   std::string fingerprint;  // decisions + headline metrics + trace hash
   std::string trace_jsonl;  // full structured trace stream
@@ -55,11 +57,12 @@ RunSurface surface_of(const sim::Simulation& sim,
   std::ostringstream fp;
   fp << "decisions=" << decisions << "\n"
      << "correct_words=" << sim.metrics().correct_words() << "\n"
-     << "total_words=" << sim.metrics().counter(sim::Counter::kTotalWords) << "\n"
+     << "total_words=" << sim.metrics().counter(Counter::kTotalWords) << "\n"
      << "messages_sent=" << sim.metrics().messages_sent() << "\n"
-     << "deliveries=" << sim.metrics().counter(sim::Counter::kDeliveries) << "\n"
-     << "link_duplicates=" << sim.metrics().counter(sim::Counter::kLinkDuplicates) << "\n"
-     << "link_replays=" << sim.metrics().counter(sim::Counter::kLinkReplays) << "\n"
+     << "deliveries=" << sim.metrics().counter(Counter::kDeliveries) << "\n"
+     << "link_duplicates="
+     << sim.metrics().counter(Counter::kLinkDuplicates) << "\n"
+     << "link_replays=" << sim.metrics().counter(Counter::kLinkReplays) << "\n"
      << "words_by_tag=";
   for (const auto& [tag, words] : sim.metrics().words_by_tag())
     fp << tag << ":" << words << ";";
@@ -289,7 +292,7 @@ TEST(ShardedSim, ShardStatsAccountForEveryDelivery) {
   ASSERT_EQ(sim.shard_stats().size(), 4u);
   std::uint64_t total = 0;
   for (const sim::ShardStats& s : sim.shard_stats()) total += s.deliveries;
-  EXPECT_EQ(total, sim.metrics().counter(sim::Counter::kDeliveries));
+  EXPECT_EQ(total, sim.metrics().counter(Counter::kDeliveries));
   EXPECT_GT(sim.supersteps(), 0u);
   (void)ref;
 }

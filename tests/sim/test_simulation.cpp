@@ -187,7 +187,7 @@ TEST(Simulation, InjectedWordsDoNotCountAsCorrect) {
   std::uint64_t before = sim.metrics().correct_words();
   sim.inject(1, 0, "hello", bytes_of("x"), 7);
   EXPECT_EQ(sim.metrics().correct_words(), before);
-  EXPECT_GT(sim.metrics().counter(sim::Counter::kTotalWords), before);
+  EXPECT_GT(sim.metrics().counter(Counter::kTotalWords), before);
 }
 
 class DepthProbe final : public Process {

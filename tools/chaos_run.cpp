@@ -38,6 +38,7 @@
 #include "sim/observer.h"
 
 using namespace coincidence;
+using sim::Counter;
 
 namespace {
 
@@ -119,11 +120,11 @@ std::uint64_t digest_reports(const std::vector<core::RunReport>& reports) {
     h = fnv1a(h, r.correct_words);
     h = fnv1a(h, r.messages);
     h = fnv1a(h, r.corrupted);
-    h = fnv1a(h, r.counters[sim::Counter::kPartitionHeld]);
-    h = fnv1a(h, r.counters[sim::Counter::kPartitionDropped]);
-    h = fnv1a(h, r.counters[sim::Counter::kPartitionReleased]);
-    h = fnv1a(h, r.counters[sim::Counter::kStormCopies]);
-    h = fnv1a(h, r.counters[sim::Counter::kChurnCrashes]);
+    h = fnv1a(h, r.counters[Counter::kPartitionHeld]);
+    h = fnv1a(h, r.counters[Counter::kPartitionDropped]);
+    h = fnv1a(h, r.counters[Counter::kPartitionReleased]);
+    h = fnv1a(h, r.counters[Counter::kStormCopies]);
+    h = fnv1a(h, r.counters[Counter::kChurnCrashes]);
     h = fnv1a(h, r.invariant_violations.size());
   }
   return h;
@@ -228,11 +229,11 @@ int run_sweep(const Args& args) {
   std::ostringstream failures;
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const core::RunReport& r = reports[i];
-    held += r.counters[sim::Counter::kPartitionHeld];
-    dropped += r.counters[sim::Counter::kPartitionDropped];
-    released += r.counters[sim::Counter::kPartitionReleased];
-    storm += r.counters[sim::Counter::kStormCopies];
-    churn += r.counters[sim::Counter::kChurnCrashes];
+    held += r.counters[Counter::kPartitionHeld];
+    dropped += r.counters[Counter::kPartitionDropped];
+    released += r.counters[Counter::kPartitionReleased];
+    storm += r.counters[Counter::kStormCopies];
+    churn += r.counters[Counter::kChurnCrashes];
     const bool bad = !r.invariant_violations.empty() ||
                      !r.all_correct_decided || !r.agreement;
     if (!r.all_correct_decided) ++undecided;
@@ -345,7 +346,6 @@ int main(int argc, char** argv) {
 
   const core::RunReport r = core::run_agreement(o, instruments);
   const sim::CounterValues& c = r.counters;
-  using sim::Counter;
 
   std::cout << "chaos_run — " << core::protocol_name(o.protocol)
             << "  n=" << o.n << "  seed=" << o.seed << "  adversary=" << adv
@@ -358,8 +358,9 @@ int main(int argc, char** argv) {
             << "\n  corrupted: " << r.corrupted << " (of f=" << r.protocol_f
             << ")  churn crashes: " << c[Counter::kChurnCrashes]
             << "\n  partition held/dropped/released: "
-            << c[Counter::kPartitionHeld] << '/' << c[Counter::kPartitionDropped]
-            << '/' << c[Counter::kPartitionReleased]
+            << c[Counter::kPartitionHeld] << '/'
+            << c[Counter::kPartitionDropped] << '/'
+            << c[Counter::kPartitionReleased]
             << "  storm copies: " << c[Counter::kStormCopies]
             << "\n  transport: retransmits=" << c[Counter::kRetransmits]
             << " dead letters=" << c[Counter::kDeadLetters]
