@@ -266,9 +266,9 @@ int main(int argc, char** argv) {
   std::uint64_t words_by_mode[2] = {0, 0};
   for (int defer = 0; defer < 2; ++defer) {
     core::Session session(core::Env::make_relaxed_ddh(n_ddh, seed, ddh_bits));
-    session.set_defer_verify(defer != 0);
     core::SessionOptions ddh_opts;
     ddh_opts.skip_timeout = session::auto_skip_timeout(n_ddh, ddh_slots);
+    ddh_opts.defer_verify = defer != 0;
     session.set_options(ddh_opts);
     std::vector<std::vector<ba::Value>> dinputs(
         ddh_slots, std::vector<ba::Value>(n_ddh, 0));

@@ -241,8 +241,7 @@ bool g_defer_verify = true;
 /// schedule from the legacy one, so sharded rows carry a `/s<shards>`
 /// name suffix and never collide with the frozen `benchmarks` names the
 /// CI gate compares against.
-std::size_t g_shards = 0;
-std::size_t g_threads = 0;
+sim::EngineOptions g_engine;
 
 struct RunStats {
   std::uint64_t deliveries = 0;
@@ -284,9 +283,7 @@ RunStats run_whp_coin(std::size_t n, std::uint64_t seed) {
   cfg.n = n;
   cfg.f = 0;
   cfg.seed = seed;
-  cfg.shards = g_shards;
-  cfg.threads = g_threads;
-  if (g_shards > 0) cfg.expected_in_flight = n * 16;
+  cfg.engine = g_engine;
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {
     coin::WhpCoin::Config ccfg;
@@ -319,7 +316,7 @@ RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
   // the memo-hit split differs).
   std::vector<std::shared_ptr<coin::BatchVerifier>> batchers;
   if (g_defer_verify) {
-    const std::size_t lanes = g_shards > 0 ? n : 1;
+    const std::size_t lanes = g_engine.shards > 0 ? n : 1;
     for (std::size_t i = 0; i < lanes; ++i)
       batchers.push_back(std::make_shared<coin::BatchVerifier>(
           coin::BatchVerifier::Config{env.vrf, env.sampler, env.signer}));
@@ -328,9 +325,7 @@ RunStats run_ba_whp(std::size_t n, std::uint64_t seed) {
   cfg.n = n;
   cfg.f = 0;
   cfg.seed = seed;
-  cfg.shards = g_shards;
-  cfg.threads = g_threads;
-  if (g_shards > 0) cfg.expected_in_flight = n * 16;
+  cfg.engine = g_engine;
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {
     ba::BaWhp::Config bcfg;
@@ -401,9 +396,7 @@ RunStats run_rbc(std::size_t n, std::uint64_t seed) {
   cfg.n = n;
   cfg.f = 0;
   cfg.seed = seed;
-  cfg.shards = g_shards;
-  cfg.threads = g_threads;
-  if (g_shards > 0) cfg.expected_in_flight = n * 16;
+  cfg.engine = g_engine;
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {
     ba::Broadcast::Config bcfg;
@@ -441,8 +434,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("reps", quick ? 1 : 5));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   g_defer_verify = !args.get_bool("no-defer", false);
-  g_shards = static_cast<std::size_t>(args.get_int("shards", 0));
-  g_threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  g_engine.shards = static_cast<std::size_t>(args.get_int("shards", 0));
+  g_engine.threads = static_cast<std::size_t>(args.get_int("threads", 0));
   // Large-n rows (ISSUE 8): the default grid stops at 128 so the frozen
   // `benchmarks` names the CI gate reads never change; `--max_n` extends
   // it through {256, 512, 1024, 2048, 4096}.
@@ -469,14 +462,14 @@ int main(int argc, char** argv) {
   json.context("reps", static_cast<double>(reps));
   json.context("seed", static_cast<double>(seed));
   json.context("defer_verify", g_defer_verify ? 1.0 : 0.0);
-  json.context("shards", static_cast<double>(g_shards));
-  json.context("threads", static_cast<double>(g_threads));
+  json.context("shards", static_cast<double>(g_engine.shards));
+  json.context("threads", static_cast<double>(g_engine.threads));
 
   std::cout << "== simulator message-plane throughput (null crypto), reps="
             << reps;
-  if (g_shards > 0)
-    std::cout << ", shards=" << g_shards << ", threads="
-              << (g_threads ? std::to_string(g_threads) : "auto");
+  if (g_engine.shards > 0)
+    std::cout << ", shards=" << g_engine.shards << ", threads="
+              << (g_engine.threads ? std::to_string(g_engine.threads) : "auto");
   std::cout << " ==\n\n";
 
   Table t({"workload", "n", "deliveries", "deliv/sec", "allocs/deliv",
@@ -495,7 +488,7 @@ int main(int argc, char** argv) {
   // Sharded rows get a name suffix so they never shadow the frozen
   // legacy-loop rows in a committed snapshot.
   const std::string suffix =
-      g_shards > 0 ? "/s" + std::to_string(g_shards) : "";
+      g_engine.shards > 0 ? "/s" + std::to_string(g_engine.shards) : "";
 
   for (const Workload& w : workloads) {
     for (std::size_t n : grid) {

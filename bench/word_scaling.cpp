@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
       o.n = n;
       o.seed = seed + 31 * trial + n;
       o.round = static_cast<std::uint64_t>(trial);
-      o.shards = shards;
+      o.engine.shards = shards;
       if (trial < tn) {
         o.kind = core::CoinKind::kShared;
         flips[static_cast<std::size_t>(trial)] = o;
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
       core::RunOptions o;
       o.n = n;
       o.seed = seed + 7 * trial + n;
-      o.shards = shards;
+      o.engine.shards = shards;
       o.inputs.assign(n, ba::kZero);
       for (std::size_t i = 0; i < n / 2; ++i) o.inputs[i] = ba::kOne;
       o.protocol = core::Protocol::kBaWhp;

@@ -33,7 +33,7 @@ CoinReport run_coin_trial(const CoinOptions& options) {
         options.seed + 3);
   }
 
-  auto make_coin = [&](sim::ProcessId) -> std::unique_ptr<coin::CoinProtocol> {
+  auto make_coin = [&]() -> std::unique_ptr<coin::CoinProtocol> {
     switch (options.kind) {
       case CoinKind::kShared: {
         coin::SharedCoin::Config cfg;
@@ -52,14 +52,7 @@ CoinReport run_coin_trial(const CoinOptions& options) {
         cfg.params = env.params;
         cfg.vrf = env.vrf;
         cfg.registry = env.registry;
-        // Sharded handlers run concurrently: the shared sampler's cache
-        // would race, so every process gets a private one (same vrf and
-        // registry — verdicts, and thus words/outputs, are identical).
-        cfg.sampler = options.shards == 0
-                          ? env.sampler
-                          : std::make_shared<committee::CachingSampler>(
-                                env.vrf, env.registry,
-                                env.params.sample_prob());
+        cfg.sampler = env.lane_for(options.engine).sampler;
         return std::make_unique<coin::WhpCoin>(cfg);
       }
       case CoinKind::kDealer: {
@@ -79,15 +72,13 @@ CoinReport run_coin_trial(const CoinOptions& options) {
   scfg.seed = options.seed;
   scfg.fairness_bound = options.fairness_bound;
   scfg.allow_content_visibility = options.content_aware_bias;
-  COIN_REQUIRE(options.shards == 0 ||
+  COIN_REQUIRE(options.engine.shards == 0 ||
                    (options.delay_senders == 0 && !options.content_aware_bias),
                "run_coin_trial: scheduling adversaries need the legacy loop");
-  scfg.shards = options.shards;
-  scfg.threads = options.threads;
-  if (options.shards > 0) scfg.expected_in_flight = options.n * 16;
+  scfg.engine = options.engine;
   sim::Simulation sim(scfg);
   for (sim::ProcessId i = 0; i < options.n; ++i)
-    sim.add_process(std::make_unique<coin::CoinHost>(make_coin(i)));
+    sim.add_process(std::make_unique<coin::CoinHost>(make_coin()));
   if (options.content_aware_bias) {
     sim.set_adversary(std::make_unique<sim::CoinBiasAdversary>(
         "first", options.bias_toward));

@@ -46,13 +46,11 @@ struct CoinOptions {
   /// widens this — asynchrony allows unbounded-but-finite delays.
   std::uint64_t fairness_bound = 0;
 
-  /// Sharded superstep engine (SimConfig::shards): 0 = legacy loop.
-  /// Incompatible with the scheduling adversaries (delay_senders /
-  /// content_aware_bias), whose per-delivery choices the hash-addressed
-  /// schedule replaces. Each process gets a private sampler cache.
-  std::size_t shards = 0;
-  /// Worker threads for the sharded engine (0 = min(shards, hardware)).
-  std::size_t threads = 0;
+  /// Legacy loop or sharded superstep engine (sim::EngineOptions). The
+  /// sharded engine is incompatible with the scheduling adversaries
+  /// (delay_senders / content_aware_bias), whose per-delivery choices
+  /// its hash-addressed schedule replaces.
+  sim::EngineOptions engine;
 };
 
 struct CoinReport {

@@ -6,27 +6,34 @@
 namespace coincidence::core {
 
 namespace {
+/// Gives `env` a fresh sampler cache and BatchVerifier over its keys,
+/// VRF and signer.
+void add_caches(Env& env) {
+  env.sampler = std::make_shared<committee::CachingSampler>(
+      env.vrf, env.registry, env.params.sample_prob());
+  env.batcher = std::make_shared<coin::BatchVerifier>(
+      coin::BatchVerifier::Config{env.vrf, env.sampler, env.signer});
+}
+
 Env build(committee::Params params, std::size_t n, std::uint64_t seed) {
   Env env;
   env.params = params;
   env.registry = crypto::KeyRegistry::create_for(n, seed);
   env.vrf = std::make_shared<crypto::FastVrf>(env.registry);
-  env.sampler = std::make_shared<committee::CachingSampler>(
-      env.vrf, env.registry, env.params.sample_prob());
   env.signer = std::make_shared<crypto::Signer>(env.registry);
-  env.batcher = std::make_shared<coin::BatchVerifier>(
-      coin::BatchVerifier::Config{env.vrf, env.sampler, env.signer});
+  add_caches(env);
   return env;
 }
 }  // namespace
 
 Env Env::lane() const {
   Env lane = *this;
-  lane.sampler = std::make_shared<committee::CachingSampler>(
-      vrf, registry, params.sample_prob());
-  lane.batcher = std::make_shared<coin::BatchVerifier>(
-      coin::BatchVerifier::Config{vrf, lane.sampler, signer});
+  add_caches(lane);
   return lane;
+}
+
+Env Env::lane_for(const sim::EngineOptions& engine) const {
+  return engine.shards > 0 ? lane() : *this;
 }
 
 Env Env::make(std::size_t n, double epsilon, double d, std::uint64_t seed,
@@ -61,11 +68,8 @@ Env Env::make_relaxed_ddh(std::size_t n, std::uint64_t seed,
   }
   env.registry = std::move(registry);
   env.vrf = std::move(vrf);
-  env.sampler = std::make_shared<committee::CachingSampler>(
-      env.vrf, env.registry, env.params.sample_prob());
   env.signer = std::make_shared<crypto::Signer>(env.registry);
-  env.batcher = std::make_shared<coin::BatchVerifier>(
-      coin::BatchVerifier::Config{env.vrf, env.sampler, env.signer});
+  add_caches(env);
   return env;
 }
 

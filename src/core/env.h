@@ -14,6 +14,7 @@
 #include "crypto/key_registry.h"
 #include "crypto/signer.h"
 #include "crypto/vrf.h"
+#include "sim/simulation.h"
 
 namespace coincidence::core {
 
@@ -34,11 +35,16 @@ struct Env {
   std::size_t f() const { return params.f; }
 
   /// The same keys, VRF and signer with a private sampler cache and
-  /// BatchVerifier — one per process on the sharded engine, whose
-  /// handlers run concurrently. Verdicts are pure functions of their
-  /// inputs, so a run's decisions, sends and words are the same as with
-  /// the shared state; only cross-process memo-hit counts differ.
+  /// BatchVerifier. Verdicts are pure functions of their inputs, so a
+  /// run's decisions, sends and words are the same as with the shared
+  /// state; only cross-process memo-hit counts differ.
   Env lane() const;
+
+  /// The crypto state one process uses under `engine` — the single
+  /// place every run driver asks. The legacy loop shares this Env across
+  /// processes (one memo serves all); the sharded engine runs handlers
+  /// concurrently, so each call there returns a fresh lane().
+  Env lane_for(const sim::EngineOptions& engine) const;
 
   /// Builds an environment with explicit parameters. strict=true enforces
   /// the paper's ε/d windows (§2, §5.1); strict=false waives the

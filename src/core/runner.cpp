@@ -169,6 +169,13 @@ RunReport run_agreement(const RunOptions& options,
                         const RunInstruments& instruments) {
   COIN_REQUIRE(options.n >= min_n_for(options.protocol),
                "run_agreement: n below the protocol's minimum");
+  // The sharded engine's hash-addressed schedule replaces per-delivery
+  // adversary choices; refuse the scheduling adversaries rather than
+  // silently run the random schedule in their name.
+  COIN_REQUIRE(options.engine.shards == 0 ||
+                   options.adversary == AdversaryKind::kRandom ||
+                   options.adversary == AdversaryKind::kAdaptiveCorruption,
+               "run_agreement: scheduling adversaries need the legacy loop");
 
   Env env = Env::make(options.n, options.epsilon, options.d,
                       options.seed ^ 0x9e3779b97f4a7c15ULL,
@@ -189,28 +196,19 @@ RunReport run_agreement(const RunOptions& options,
         options.n, f, options.max_rounds, options.seed + 17);
   }
 
-  // Sharded runs execute handlers concurrently, so the Env-shared
-  // mutable crypto state — the sampler's cache and the BatchVerifier's
-  // queues/memos — becomes one private lane per process. Verdicts are
-  // pure functions of the inputs, so decisions/sends/words are identical
-  // to the shared-lane wiring; only cross-process memo-hit counters (and
-  // wall-clock) differ. Lane batchers outlive the Simulation: their
-  // ledgers are aggregated after teardown, like env.batcher's.
-  const bool sharded = options.shards > 0;
-  std::vector<std::shared_ptr<coin::BatchVerifier>> lane_batchers(
-      sharded ? options.n : 0);
-  auto crypto_lane = [&](sim::ProcessId id)
-      -> std::pair<std::shared_ptr<committee::Sampler>,
-                   std::shared_ptr<coin::BatchVerifier>> {
-    if (!sharded) return {env.sampler, env.batcher};
-    Env lane = env.lane();
-    lane_batchers[id] = lane.batcher;
-    return {lane.sampler, lane.batcher};
+  // Every BatchVerifier the crypto lanes hand out (Env::lane_for): the
+  // Env's own on the legacy loop, one per process on the sharded engine.
+  // They outlive the Simulation — ledgers are summed after teardown.
+  std::vector<std::shared_ptr<coin::BatchVerifier>> batchers;
+  auto crypto_lane = [&]() {
+    Env lane = env.lane_for(options.engine);
+    if (std::find(batchers.begin(), batchers.end(), lane.batcher) ==
+        batchers.end())
+      batchers.push_back(lane.batcher);
+    return lane;
   };
 
-  auto make_process =
-      [&](sim::ProcessId id,
-          ba::Value input) -> std::unique_ptr<ba::BaProcess> {
+  auto make_process = [&](ba::Value input) -> std::unique_ptr<ba::BaProcess> {
     switch (options.protocol) {
       case Protocol::kBenOr: {
         ba::BenOr::Config cfg;
@@ -233,7 +231,7 @@ RunReport run_agreement(const RunOptions& options,
         cfg.n = options.n;
         cfg.f = f;
         cfg.max_rounds = options.max_rounds;
-        cfg.make_coin = [env, lane = crypto_lane(id), n = options.n, f,
+        cfg.make_coin = [lane = crypto_lane(), n = options.n, f,
                          defer = options.defer_verify](
                             std::uint64_t round, const std::string& tag) {
           coin::SharedCoin::Config ccfg;
@@ -241,9 +239,9 @@ RunReport run_agreement(const RunOptions& options,
           ccfg.round = round;
           ccfg.n = n;
           ccfg.f = f;
-          ccfg.vrf = env.vrf;
-          ccfg.registry = env.registry;
-          if (defer) ccfg.batcher = lane.second;
+          ccfg.vrf = lane.vrf;
+          ccfg.registry = lane.registry;
+          if (defer) ccfg.batcher = lane.batcher;
           return std::make_unique<coin::SharedCoin>(ccfg);
         };
         return std::make_unique<ba::Mmr>(cfg, input);
@@ -254,17 +252,16 @@ RunReport run_agreement(const RunOptions& options,
         cfg.n = options.n;
         cfg.f = f;
         cfg.max_rounds = options.max_rounds;
-        cfg.make_coin = [env, lane = crypto_lane(id),
-                         defer = options.defer_verify](
+        cfg.make_coin = [lane = crypto_lane(), defer = options.defer_verify](
                             std::uint64_t round, const std::string& tag) {
           coin::WhpCoin::Config ccfg;
           ccfg.tag = tag;
           ccfg.round = round;
-          ccfg.params = env.params;
-          ccfg.vrf = env.vrf;
-          ccfg.registry = env.registry;
-          ccfg.sampler = lane.first;
-          if (defer) ccfg.batcher = lane.second;
+          ccfg.params = lane.params;
+          ccfg.vrf = lane.vrf;
+          ccfg.registry = lane.registry;
+          ccfg.sampler = lane.sampler;
+          if (defer) ccfg.batcher = lane.batcher;
           return std::make_unique<coin::WhpCoin>(ccfg);
         };
         return std::make_unique<ba::Mmr>(cfg, input);
@@ -286,15 +283,15 @@ RunReport run_agreement(const RunOptions& options,
         return std::make_unique<ba::Mmr>(cfg, input);
       }
       case Protocol::kBaWhp: {
-        auto lane = crypto_lane(id);
+        const Env lane = crypto_lane();
         ba::BaWhp::Config cfg;
         cfg.tag = "ba";
-        cfg.params = env.params;
-        cfg.vrf = env.vrf;
-        cfg.registry = env.registry;
-        cfg.sampler = lane.first;
-        cfg.signer = env.signer;
-        if (options.defer_verify) cfg.batcher = lane.second;
+        cfg.params = lane.params;
+        cfg.vrf = lane.vrf;
+        cfg.registry = lane.registry;
+        cfg.sampler = lane.sampler;
+        cfg.signer = lane.signer;
+        if (options.defer_verify) cfg.batcher = lane.batcher;
         cfg.max_rounds = options.max_rounds;
         return std::make_unique<ba::BaWhp>(cfg, input);
       }
@@ -320,11 +317,7 @@ RunReport run_agreement(const RunOptions& options,
   scfg.seed = options.seed;
   scfg.network = options.network;
   scfg.chaos = options.chaos;
-  scfg.shards = options.shards;
-  scfg.threads = options.threads;
-  // Broadcast-heavy rounds keep O(n) messages per process in flight
-  // inside the W-superstep window; presize the calendars for that.
-  if (sharded) scfg.expected_in_flight = options.n * 16;
+  scfg.engine = options.engine;
 
   RunReport report;
   report.faulty = faulty;
@@ -348,7 +341,7 @@ RunReport run_agreement(const RunOptions& options,
       sim.add_observer(checker);
     }
     for (sim::ProcessId i = 0; i < options.n; ++i) {
-      std::unique_ptr<sim::Process> p = make_process(i, inputs[i]);
+      std::unique_ptr<sim::Process> p = make_process(inputs[i]);
       if (options.reliable_channel) {
         net::ReliableChannelConfig rcfg;
         rcfg.max_retransmits = options.transport_retransmits;
@@ -431,21 +424,12 @@ RunReport run_agreement(const RunOptions& options,
     if (instruments.metrics_out) instruments.metrics_out(sim.metrics());
   }
 
-  if (sharded) {
-    for (const auto& b : lane_batchers) {
-      if (!b) continue;
-      report.verify_enqueued += b->enqueued();
-      report.verify_batch_flushed += b->flushed();
-      report.verify_discarded += b->discarded();
-      report.sig_checks += b->sig_checks();
-      report.sig_memo_hits += b->sig_memo().hits();
-    }
-  } else if (env.batcher) {
-    report.verify_enqueued = env.batcher->enqueued();
-    report.verify_batch_flushed = env.batcher->flushed();
-    report.verify_discarded = env.batcher->discarded();
-    report.sig_checks = env.batcher->sig_checks();
-    report.sig_memo_hits = env.batcher->sig_memo().hits();
+  for (const auto& b : batchers) {
+    report.verify_enqueued += b->enqueued();
+    report.verify_batch_flushed += b->flushed();
+    report.verify_discarded += b->discarded();
+    report.sig_checks += b->sig_checks();
+    report.sig_memo_hits += b->sig_memo().hits();
   }
   return report;
 }

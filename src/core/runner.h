@@ -116,16 +116,12 @@ struct RunOptions {
   /// AVID-M fragments (ba/broadcast.h). Ignored by the others.
   ba::RbcBackend rbc = ba::RbcBackend::kBracha;
 
-  /// Sharded superstep engine (SimConfig::shards): 0 = the legacy
-  /// sequential loop; k >= 1 partitions delivery across k shards with a
-  /// hash-addressed schedule that is bit-identical for every shard and
-  /// thread count (DESIGN.md §5g). Scheduling adversaries (`adversary`)
-  /// are bypassed in sharded mode; corruption adversaries still act.
-  /// Each process also gets a private sampler cache + BatchVerifier lane
-  /// (instead of the Env-shared ones), since handlers run concurrently.
-  std::size_t shards = 0;
-  /// Worker threads for the sharded engine (0 = min(shards, hardware)).
-  std::size_t threads = 0;
+  /// Legacy loop or sharded superstep engine (sim::EngineOptions). The
+  /// sharded engine replaces per-delivery scheduling, so run_agreement
+  /// refuses the scheduling adversaries there (kFifo, kDelaySenders,
+  /// kSplit, kHeavyTail) with PreconditionError; kRandom and the
+  /// corrupting kAdaptiveCorruption still run.
+  sim::EngineOptions engine;
 
   /// Chaos schedule (sim/chaos.h) executed by the simulation on the
   /// delivery clock: healing partitions, churn waves, storm bursts.

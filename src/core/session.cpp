@@ -59,16 +59,13 @@ SessionReport Session::run_concurrent_slots(
   cfg.n = n;
   cfg.f = silent_faults;
   cfg.seed = seed;
-  cfg.shards = options_.shards;
-  cfg.threads = options_.threads;
+  cfg.engine = options_.engine;
   sim::Simulation sim(cfg);
   auto slot_words = std::make_shared<SlotWordObserver>(slots);
   sim.add_observer(slot_words);
 
   for (sim::ProcessId i = 0; i < n; ++i) {
-    // The sharded engine runs handlers concurrently: each process gets
-    // its own sampler cache and BatchVerifier (see Env::lane).
-    const Env env = options_.shards > 0 ? env_.lane() : env_;
+    const Env env = env_.lane_for(options_.engine);
     auto mux = std::make_unique<ba::InstanceMux>();
     for (std::size_t slot = 0; slot < slots; ++slot) {
       ba::BaWhp::Config bcfg;
@@ -78,7 +75,7 @@ SessionReport Session::run_concurrent_slots(
       bcfg.registry = env.registry;
       bcfg.sampler = env.sampler;
       bcfg.signer = env.signer;
-      if (defer_verify_) bcfg.batcher = env.batcher;
+      if (options_.defer_verify) bcfg.batcher = env.batcher;
       bcfg.max_rounds = max_rounds;
       bcfg.skip_timeout = options_.skip_timeout;
       bcfg.skip_max_attempts = options_.skip_max_attempts;

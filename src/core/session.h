@@ -3,9 +3,8 @@
 // The paper (§3, comparison with Blum et al.) emphasizes that its setup —
 // the PKI — "has to occur once and may be used for any number of BA
 // instances". Session packages that: one Env (keys, VRF, sampler), any
-// number of agreement slots, run either concurrently inside one
-// simulation (one network, messages of all slots interleaved by the
-// adversary) or as a convenience loop of independent instances.
+// number of agreement slots, run concurrently inside one simulation (one
+// network, messages of all slots interleaved by the adversary).
 #pragma once
 
 #include <cstdint>
@@ -40,10 +39,12 @@ struct SessionOptions {
   /// delivery events before a wedged round is skipped. 0 = off.
   std::uint64_t skip_timeout = 0;
   std::uint32_t skip_max_attempts = 8;
-  /// Sharded superstep engine (sim/simulation.h). 0 = legacy loop;
-  /// k >= 1 is bit-identical for every shard/thread count.
-  std::size_t shards = 0;
-  std::size_t threads = 0;
+  /// Routes every slot's share/election checks through a BatchVerifier
+  /// (see RunOptions::defer_verify). Slot decisions and word counts are
+  /// bit-identical either way.
+  bool defer_verify = true;
+  /// Legacy loop or sharded superstep engine (sim::EngineOptions).
+  sim::EngineOptions engine;
 };
 
 struct SessionReport {
@@ -64,11 +65,6 @@ class Session {
   /// One setup, reused by every slot (the §3 property).
   explicit Session(Env env);
 
-  /// Routes every slot's share/election checks through the Env's shared
-  /// BatchVerifier (see RunOptions::defer_verify). On by default; slot
-  /// decisions and word counts are bit-identical either way.
-  void set_defer_verify(bool on) { defer_verify_ = on; }
-
   /// Applies to every subsequent run_concurrent_slots call.
   void set_options(const SessionOptions& options) { options_ = options; }
   const SessionOptions& options() const { return options_; }
@@ -86,7 +82,6 @@ class Session {
 
  private:
   Env env_;
-  bool defer_verify_ = true;
   SessionOptions options_;
 };
 

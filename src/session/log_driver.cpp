@@ -27,17 +27,14 @@ LogReport run_replicated_log(const core::Env& env,
   cfg.n = n;
   cfg.f = opts.silent_faults;
   cfg.seed = opts.sim_seed;
-  cfg.shards = opts.shards;
-  cfg.threads = opts.threads;
+  cfg.engine = opts.engine;
   sim::Simulation sim(cfg);
 
   LogConfig lcfg;
   lcfg.params = env.params;
   lcfg.vrf = env.vrf;
   lcfg.registry = env.registry;
-  lcfg.sampler = env.sampler;
   lcfg.signer = env.signer;
-  lcfg.batcher = env.batcher;
   lcfg.total_slots = opts.slots;
   lcfg.pipeline_depth = opts.pipeline_depth;
   lcfg.batch_size = opts.batch_size;
@@ -50,14 +47,10 @@ LogReport run_replicated_log(const core::Env& env,
                           : opts.skip_timeout;
 
   for (std::size_t i = 0; i < n; ++i) {
+    const core::Env lane = env.lane_for(opts.engine);
     LogConfig process_cfg = lcfg;
-    if (opts.shards > 0) {
-      // Concurrent handlers: a private sampler cache and BatchVerifier
-      // per process (see core::Env::lane).
-      const core::Env lane = env.lane();
-      process_cfg.sampler = lane.sampler;
-      process_cfg.batcher = lane.batcher;
-    }
+    process_cfg.sampler = lane.sampler;
+    process_cfg.batcher = lane.batcher;
     sim.add_process(std::make_unique<LogProcess>(std::move(process_cfg)));
   }
   sim::ProcessId next = static_cast<sim::ProcessId>(n);

@@ -30,9 +30,8 @@ struct LogRunOptions {
   static constexpr std::uint64_t kAutoSkip = ~0ULL;
   std::uint64_t skip_timeout = kAutoSkip;
 
-  /// Sharded superstep engine (sim/simulation.h). 0 = legacy loop.
-  std::size_t shards = 0;
-  std::size_t threads = 0;
+  /// Legacy loop or sharded superstep engine (sim::EngineOptions).
+  sim::EngineOptions engine;
 
   std::uint64_t max_rounds = 32;
   std::size_t max_candidates = 8;

@@ -83,11 +83,11 @@ class FlatMap64 {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Pre-sizes the table for `n` live keys (the SimConfig capacity-hint
-  /// path) so churn-heavy large-n runs never rehash mid-flight. Keeps
-  /// the <=50% load invariant: the slot array becomes the smallest
-  /// power of two holding 2*(n+1) slots. No-op when already that large;
-  /// existing entries (and no tombstones) carry over.
+  /// Pre-sizes the table for `n` live keys so churn-heavy large-n users
+  /// never rehash mid-flight. Keeps the <=50% load invariant: the slot
+  /// array becomes the smallest power of two holding 2*(n+1) slots.
+  /// No-op when already that large; existing entries (and no
+  /// tombstones) carry over.
   void reserve(std::size_t n) {
     std::size_t target = 16;
     while (target < 2 * (n + 1)) target <<= 1;

@@ -4,12 +4,6 @@
 
 namespace coincidence::sim {
 
-void PendingPool::reserve(std::size_t n) {
-  msgs_.reserve(n);
-  ticks_.reserve(n);
-  index_of_.reserve(n);
-}
-
 void PendingPool::push(Message msg, std::uint64_t tick) {
   std::uint64_t id = msg.id;
   index_of_[id] = msgs_.size();

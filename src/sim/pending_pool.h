@@ -51,11 +51,6 @@ class PendingPool {
     return oldest_heap_.top().first;
   }
 
-  /// Capacity hint (SimConfig::expected_in_flight): presizes the message
-  /// and tick arrays and the id->index hash so a run whose in-flight
-  /// population peaks at `n` never regrows or rehashes mid-flight.
-  void reserve(std::size_t n);
-
   void push(Message msg, std::uint64_t tick);
 
   /// Removes and returns the message at `i` (swap-remove; indices of other

@@ -22,6 +22,14 @@ std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return z ^ (z >> 31);
 }
+
+/// Superstep slack window W: a routed message is delivered 1..W
+/// supersteps after routing (hash-chosen).
+constexpr std::size_t kShardSlack = 4;
+
+/// Calendar presize: broadcast-heavy rounds keep O(n) messages per
+/// process in flight inside the W-superstep window.
+constexpr std::size_t kInFlightPerProcess = 16;
 }  // namespace
 
 // ------------------------------------------------- sharded engine data --
@@ -251,32 +259,27 @@ Simulation::Simulation(SimConfig cfg)
     chaos_ = std::make_unique<ChaosState>(cfg_.chaos);
     churn_victims_.resize(cfg_.chaos.phases.size());
   }
-  if (cfg_.shards > 0) {
+  if (cfg_.engine.shards > 0) {
     // More shards than processes would leave permanently-empty shards;
     // the clamp keeps shard_of() total without changing any schedule
     // (the schedule depends on (seed, route order), not the shard map).
-    cfg_.shards = std::min(cfg_.shards, cfg_.n);
-    if (cfg_.shard_slack == 0) cfg_.shard_slack = 1;
+    const std::size_t shards = std::min(cfg_.engine.shards, cfg_.n);
+    cfg_.engine.shards = shards;
     shard_seed_ = mix64(cfg_.seed ^ 0x73686172645f7373ULL);  // "shard_ss"
-    shard_states_.reserve(cfg_.shards);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
+    const std::size_t per_slot =
+        kInFlightPerProcess * cfg_.n / (shards * kShardSlack) + 1;
+    shard_states_.reserve(shards);
+    for (std::size_t s = 0; s < shards; ++s) {
       auto st = std::make_unique<ShardState>();
-      st->ring.resize(cfg_.shard_slack);
+      st->ring.resize(kShardSlack);
+      for (auto& slot : st->ring) slot.reserve(per_slot);
       shard_states_.push_back(std::move(st));
     }
-    slot_counts_.assign(cfg_.shard_slack, 0);
-    shard_stats_.assign(cfg_.shards, ShardStats{});
-    if (cfg_.expected_in_flight > 0) {
-      const std::size_t per_slot =
-          cfg_.expected_in_flight / (cfg_.shards * cfg_.shard_slack) + 1;
-      for (auto& st : shard_states_)
-        for (auto& slot : st->ring) slot.reserve(per_slot);
-    }
-    std::size_t threads = cfg_.threads;
-    if (threads == 0) threads = std::min(cfg_.shards, default_thread_count());
+    slot_counts_.assign(kShardSlack, 0);
+    shard_stats_.assign(shards, ShardStats{});
+    std::size_t threads = cfg_.engine.threads;
+    if (threads == 0) threads = std::min(shards, default_thread_count());
     shard_pool_ = std::make_unique<ThreadPool>(threads);
-  } else if (cfg_.expected_in_flight > 0) {
-    pending_.reserve(cfg_.expected_in_flight);
   }
 }
 
@@ -860,9 +863,7 @@ void Simulation::route_message(Message msg) {
   e.route_seq = route_seq_++;
   e.enqueue_index = deliveries_;
   e.msg = std::move(msg);
-  const auto slot =
-      static_cast<std::size_t>((superstep_ + 1 + h % cfg_.shard_slack) %
-                               cfg_.shard_slack);
+  const std::size_t slot = (superstep_ + 1 + h % kShardSlack) % kShardSlack;
   shard_states_[shard]->ring[slot].push_back(std::move(e));
   ++slot_counts_[slot];
   ++calendar_size_;
@@ -1063,10 +1064,8 @@ bool Simulation::superstep() {
   // most W supersteps out, so this scans at most W ring slots.
   do {
     ++superstep_;
-  } while (slot_counts_[static_cast<std::size_t>(
-               superstep_ % cfg_.shard_slack)] == 0);
-  const auto slot =
-      static_cast<std::size_t>(superstep_ % cfg_.shard_slack);
+  } while (slot_counts_[superstep_ % kShardSlack] == 0);
+  const std::size_t slot = superstep_ % kShardSlack;
 
   // Phase 2 — exchange: move the due slot into each shard's work list
   // and sort by the canonical (okey, route_seq) rank, in parallel. Idle
@@ -1075,15 +1074,15 @@ bool Simulation::superstep() {
   std::size_t busy = 0;
   for (const auto& st : shard_states_)
     if (!st->ring[slot].empty()) ++busy;
-  if (busy < cfg_.shards) {
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
+  if (busy < cfg_.engine.shards) {
+    for (std::size_t s = 0; s < cfg_.engine.shards; ++s) {
       if (shard_states_[s]->ring[slot].empty()) {
         ++shard_stats_[s].idle_supersteps;
         ++merge_stalls_;
       }
     }
   }
-  shard_pool_->for_each_index(cfg_.shards, [&](std::size_t s) {
+  shard_pool_->for_each_index(cfg_.engine.shards, [&](std::size_t s) {
     ShardState& st = *shard_states_[s];
     st.acts = std::move(st.ring[slot]);
     st.ring[slot].clear();
@@ -1104,10 +1103,10 @@ bool Simulation::superstep() {
   slot_counts_[slot] = 0;
   std::vector<std::pair<std::size_t, std::size_t>> order;  // (shard, index)
   order.reserve(total);
-  std::vector<std::size_t> cursor(cfg_.shards, 0);
+  std::vector<std::size_t> cursor(cfg_.engine.shards, 0);
   for (std::size_t k = 0; k < total; ++k) {
     std::size_t best = static_cast<std::size_t>(-1);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
+    for (std::size_t s = 0; s < cfg_.engine.shards; ++s) {
       if (cursor[s] >= shard_states_[s]->acts.size()) continue;
       if (best == static_cast<std::size_t>(-1)) {
         best = s;
@@ -1128,7 +1127,7 @@ bool Simulation::superstep() {
   // Phase 3 — handlers, in parallel; every side-effect buffered.
   parallel_phase_ = true;
   shard_pool_->for_each_index(
-      cfg_.shards, [this](std::size_t s) { run_shard_handlers(s); });
+      cfg_.engine.shards, [this](std::size_t s) { run_shard_handlers(s); });
   parallel_phase_ = false;
 
   // Phase 4 — serial commit in the merged canonical order.

@@ -38,6 +38,28 @@
 
 namespace coincidence::sim {
 
+/// How a Simulation executes — the engine knobs every run driver embeds
+/// as `engine` and hands to SimConfig unchanged (DESIGN.md §5g). Only
+/// the switch between shards = 0 and shards >= 1 changes a run; every
+/// (shards >= 1, threads) pair runs the same schedule.
+struct EngineOptions {
+  /// 0 = the legacy sequential adversary-scheduled loop, byte-identical
+  /// to prior releases. k >= 1 partitions delivery work across k shards
+  /// (receiver id mod k) and replaces the per-delivery adversary choice
+  /// with a hash-addressed random-delay schedule: every message's
+  /// delivery superstep and within-superstep rank are pure functions of
+  /// (seed, route sequence), so the global delivery order — fingerprints,
+  /// traces, metrics, decisions — is bit-identical for EVERY shard count
+  /// and thread count. Adversary::schedule is never consulted in this
+  /// mode (runners refuse scheduling adversaries); corrupt_now and
+  /// observe_delivery still fire. Handlers run concurrently, so each
+  /// process needs private crypto state (core::Env::lane_for).
+  std::size_t shards = 0;
+  /// Worker threads for the sharded engine, including the calling thread
+  /// (0 = min(shards, hardware)). Never affects the schedule.
+  std::size_t threads = 0;
+};
+
 struct SimConfig {
   std::size_t n = 4;
   std::size_t f = 0;  // corruption budget for the adversary
@@ -62,28 +84,8 @@ struct SimConfig {
   /// (the default) costs nothing; storm randomness burns a dedicated Rng
   /// like link faults, so schedules never perturb other streams.
   ChaosSchedule chaos;
-  /// Sharded superstep engine (DESIGN.md §5g). 0 = the legacy sequential
-  /// adversary-scheduled loop, byte-identical to prior releases. k >= 1
-  /// partitions delivery work across k shards (receiver id mod k) and
-  /// replaces the per-delivery adversary choice with a hash-addressed
-  /// random-delay schedule: every message's delivery superstep and
-  /// within-superstep rank are pure functions of (seed, route sequence),
-  /// so the global delivery order — fingerprints, traces, metrics,
-  /// decisions — is bit-identical for EVERY shard count and thread count.
-  /// Scheduling adversaries (Adversary::schedule) are bypassed in this
-  /// mode; corrupt_now/observe_delivery still fire.
-  std::size_t shards = 0;
-  /// Worker threads for the sharded engine, including the calling thread
-  /// (0 = min(shards, hardware)). Never affects the schedule.
-  std::size_t threads = 0;
-  /// Superstep slack window W: a routed message is delivered 1..W
-  /// supersteps after routing (hash-chosen). Larger W spreads a burst
-  /// over more supersteps (more reordering latitude, smaller batches).
-  std::uint64_t shard_slack = 4;
-  /// Capacity hint: expected peak in-flight messages. Presizes the
-  /// pending pool (legacy) or the shard calendars (sharded) so large-n
-  /// runs do not rehash/regrow mid-flight. 0 = no reservation.
-  std::size_t expected_in_flight = 0;
+  /// Legacy loop or sharded superstep engine (EngineOptions).
+  EngineOptions engine;
 };
 
 /// Per-shard telemetry of a sharded run (run_report surfaces this; it
@@ -185,8 +187,8 @@ class Simulation {
   }
 
   /// Sharded-engine introspection (all zero/empty on the legacy path).
-  bool sharded() const { return cfg_.shards > 0; }
-  std::size_t shard_count() const { return cfg_.shards; }
+  bool sharded() const { return cfg_.engine.shards > 0; }
+  std::size_t shard_count() const { return cfg_.engine.shards; }
   std::uint64_t supersteps() const { return superstep_; }
   /// Total idle shard-supersteps at the exchange barrier: supersteps in
   /// which a shard had nothing to deliver while some other shard did —
@@ -218,7 +220,9 @@ class Simulation {
   void run_shard_handlers(std::size_t shard);
   void deliver_in_phase(Slot& slot, const Message& msg);
   void commit_activation(CalEntry& act);
-  std::size_t shard_of(ProcessId to) const { return to % cfg_.shards; }
+  std::size_t shard_of(ProcessId to) const {
+    return to % cfg_.engine.shards;
+  }
 
   // Telemetry notes forwarded from SlotContext (Context::note_*): fan
   // out to Metrics and the observers. Pure observation — nothing here
@@ -288,7 +292,7 @@ class Simulation {
   // history's resident cost is O(window * header) per lossy link.
   FlatMap64<std::deque<Message>> replay_history_;
 
-  // Sharded superstep engine state (cfg_.shards > 0; empty otherwise).
+  // Sharded superstep engine state (engine.shards > 0; empty otherwise).
   // Calendars, the route counter and the per-superstep work lists live in
   // per-shard ShardStates; the pool runs the parallel sort/handler
   // phases; everything observable is emitted by the serial commit.

@@ -243,6 +243,72 @@ TEST(Runner, MetricsOutFiresWithoutDetailMode) {
   EXPECT_FALSE(detail);  // only switched on when asked
 }
 
+TEST(Runner, ShardedEngineRefusesSchedulingAdversaries) {
+  // The superstep schedule replaces per-delivery adversary choices, so a
+  // scheduling adversary on it would silently run the random schedule.
+  RunOptions o;
+  o.protocol = Protocol::kBaWhp;
+  o.n = 32;
+  o.seed = 7;
+  o.engine.shards = 4;
+  for (AdversaryKind a : {AdversaryKind::kFifo, AdversaryKind::kDelaySenders,
+                          AdversaryKind::kSplit, AdversaryKind::kHeavyTail}) {
+    o.adversary = a;
+    EXPECT_THROW(run_agreement(o), PreconditionError) << adversary_name(a);
+  }
+  // Random scheduling and the corrupting hunter still run.
+  o.adaptive_victims = 1;
+  for (AdversaryKind a :
+       {AdversaryKind::kRandom, AdversaryKind::kAdaptiveCorruption}) {
+    o.adversary = a;
+    EXPECT_TRUE(run_agreement(o).agreement) << adversary_name(a);
+  }
+}
+
+TEST(Runner, ShardCountCannotLeakIntoRunReport) {
+  // run_agreement's crypto lanes and ledger sum on the sharded engine:
+  // every shard and thread count must give the same report — counters
+  // and the verify/sig ledger included. Only the shard telemetry
+  // (shards, supersteps, merge_stalls, shard_deliveries) may differ.
+  RunOptions o;
+  o.protocol = Protocol::kBaWhp;
+  o.n = 32;
+  o.seed = 7;
+  o.inputs.assign(o.n, ba::kZero);
+  for (std::size_t i = 0; i < o.n / 2; ++i) o.inputs[i] = ba::kOne;
+  o.silent = 1;
+  o.engine = {1, 1};
+  const RunReport base = run_agreement(o);
+  ASSERT_TRUE(base.all_correct_decided);
+  EXPECT_GT(base.sig_checks, 0u);
+  EXPECT_GT(base.verify_enqueued, 0u);
+  for (std::size_t shards : {1, 2, 4, 8}) {
+    for (std::size_t threads : {1, 8}) {
+      if (shards == 1 && threads == 1) continue;
+      o.engine = {shards, threads};
+      const RunReport r = run_agreement(o);
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(r.all_correct_decided, base.all_correct_decided);
+      EXPECT_EQ(r.agreement, base.agreement);
+      EXPECT_EQ(r.decision, base.decision);
+      EXPECT_EQ(r.max_decided_round, base.max_decided_round);
+      EXPECT_EQ(r.correct_words, base.correct_words);
+      EXPECT_EQ(r.messages, base.messages);
+      EXPECT_EQ(r.duration, base.duration);
+      EXPECT_EQ(r.words_by_tag, base.words_by_tag);
+      EXPECT_EQ(r.corrupted, base.corrupted);
+      for (const sim::CounterInfo& row : sim::kCounterTable)
+        EXPECT_EQ(r.counters[row.id], base.counters[row.id]) << row.key;
+      EXPECT_EQ(r.sig_checks, base.sig_checks);
+      EXPECT_EQ(r.sig_memo_hits, base.sig_memo_hits);
+      EXPECT_EQ(r.verify_enqueued, base.verify_enqueued);
+      EXPECT_EQ(r.verify_batch_flushed, base.verify_batch_flushed);
+      EXPECT_EQ(r.verify_discarded, base.verify_discarded);
+    }
+  }
+}
+
 TEST(CoinRunner, AllKindsReturnAndMostlyAgree) {
   for (CoinKind k : {CoinKind::kShared, CoinKind::kWhp, CoinKind::kDealer}) {
     int agreed = 0, returned = 0;
@@ -304,6 +370,32 @@ TEST(CoinRunner, IllegalBiasAdversarySkewsTheCoin) {
   double biased_rate = static_cast<double>(biased_hits) / biased_done;
   EXPECT_GT(biased_rate, legal_rate + 0.1);
   EXPECT_GT(biased_rate, 0.65);
+}
+
+TEST(CoinRunner, ShardCountCannotLeakIntoCoinResults) {
+  // run_coin_trial's sharded path gives each process a private sampler
+  // lane; the flip must not depend on how the work is partitioned.
+  CoinOptions o;
+  o.kind = CoinKind::kWhp;
+  o.n = 48;
+  o.seed = 42;
+  o.round = 1;
+  o.engine = {1, 1};
+  const CoinReport base = run_coin_trial(o);
+  ASSERT_TRUE(base.all_returned);
+  for (std::size_t shards : {2, 4, 8}) {
+    for (std::size_t threads : {1, 8}) {
+      o.engine = {shards, threads};
+      const CoinReport r = run_coin_trial(o);
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(r.all_returned, base.all_returned);
+      EXPECT_EQ(r.agreed_bit, base.agreed_bit);
+      EXPECT_EQ(r.outputs, base.outputs);
+      EXPECT_EQ(r.correct_words, base.correct_words);
+      EXPECT_EQ(r.duration, base.duration);
+    }
+  }
 }
 
 TEST(CoinRunner, NamesAreStable) {

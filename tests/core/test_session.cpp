@@ -122,7 +122,7 @@ TEST(SessionSkip, ShardCountCannotLeakIntoSessionResults) {
     Session session(Env::make_relaxed(48, 15));
     SessionOptions opts;
     opts.skip_timeout = session::auto_skip_timeout(48, 3);
-    opts.shards = shards;
+    opts.engine.shards = shards;
     session.set_options(opts);
     SessionReport r = session.run_concurrent_slots(bench_inputs(3, 48),
                                                    /*seed=*/9, /*silent=*/2);

@@ -79,7 +79,7 @@ TEST(ReplicatedLog, ShardCountCannotLeakIntoTheLog) {
     opts.batch_size = 2;
     opts.silent_faults = 1;
     opts.sim_seed = 21;
-    opts.shards = shards;
+    opts.engine.shards = shards;
     LogReport r = run_replicated_log(env, opts);
     ASSERT_TRUE(r.all_committed) << "shards=" << shards;
     ASSERT_TRUE(r.agreement) << "shards=" << shards;
@@ -151,7 +151,7 @@ TEST(ReplicatedLog, ErasureCodedShardCountCannotLeakIntoTheLog) {
     opts.batch_size = 2;
     opts.silent_faults = 1;
     opts.sim_seed = 21;
-    opts.shards = shards;
+    opts.engine.shards = shards;
     opts.rbc = ba::RbcBackend::kEc;
     LogReport r = run_replicated_log(env, opts);
     ASSERT_TRUE(r.all_committed) << "shards=" << shards;

@@ -130,9 +130,8 @@ TEST(FlatMap64, MillionKeyChurnKeepsLoadBounded) {
   }
 }
 
-// The SimConfig::expected_in_flight capacity hint: reserve() presizes so
-// inserts up to the hint never rehash, preserves existing entries, and
-// ignores shrinking requests.
+// The reserve() capacity hint presizes so inserts up to the hint never
+// rehash, preserves existing entries, and ignores shrinking requests.
 TEST(FlatMap64, ReserveHintPrSizesAndPreservesEntries) {
   FlatMap64<int> m;
   m[7] = 70;

@@ -9,7 +9,8 @@
 // These tests sweep shards {1,2,4,8} x threads {1,8} over a whp_coin
 // flip, a ba_whp agreement across duplicating/replaying links with silent
 // faults, and a chaos-schedule run, comparing every surface against the
-// shards=1/threads=1 reference.
+// shards=1/threads=1 reference. Handlers run concurrently, so every
+// process takes its sampler from a private core::Env::lane().
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include "ba/ba_whp.h"
 #include "coin/coin_protocol.h"
 #include "coin/whp_coin.h"
-#include "committee/sampler.h"
 #include "core/env.h"
 #include "sim/chaos.h"
 #include "sim/simulation.h"
@@ -80,22 +80,14 @@ RunSurface surface_of(const sim::Simulation& sim,
   return out;
 }
 
-/// Every process gets a private sampler cache — the sharded engine runs
-/// handlers concurrently, so the Env-shared CachingSampler must not be
-/// used (its cache is unsynchronized).
-std::shared_ptr<committee::Sampler> private_sampler(const core::Env& env) {
-  return std::make_shared<committee::CachingSampler>(
-      env.vrf, env.registry, env.params.sample_prob());
-}
-
 RunSurface run_whp_coin(std::size_t shards, std::size_t threads) {
   const std::size_t n = 40;
   core::Env env = core::Env::make_relaxed(n, /*seed=*/101);
   sim::SimConfig cfg;
   cfg.n = n;
   cfg.seed = 11;
-  cfg.shards = shards;
-  cfg.threads = threads;
+  cfg.engine.shards = shards;
+  cfg.engine.threads = threads;
   sim::Simulation sim(cfg);
   sim.metrics().enable_detail();
   auto trace = std::make_shared<sim::TraceRecorder>();
@@ -107,7 +99,7 @@ RunSurface run_whp_coin(std::size_t shards, std::size_t threads) {
     ccfg.params = env.params;
     ccfg.vrf = env.vrf;
     ccfg.registry = env.registry;
-    ccfg.sampler = private_sampler(env);
+    ccfg.sampler = env.lane().sampler;
     sim.add_process(std::make_unique<coin::CoinHost>(
         std::make_unique<coin::WhpCoin>(std::move(ccfg))));
   }
@@ -132,8 +124,8 @@ RunSurface run_ba_whp(std::size_t shards, std::size_t threads) {
   cfg.network.default_link.max_duplicates = 2;
   cfg.network.default_link.replay_p = 0.15;
   cfg.network.default_link.replay_window = 8;
-  cfg.shards = shards;
-  cfg.threads = threads;
+  cfg.engine.shards = shards;
+  cfg.engine.threads = threads;
   sim::Simulation sim(cfg);
   sim.metrics().enable_detail();
   auto trace = std::make_shared<sim::TraceRecorder>();
@@ -144,7 +136,7 @@ RunSurface run_ba_whp(std::size_t shards, std::size_t threads) {
     bcfg.params = env.params;
     bcfg.vrf = env.vrf;
     bcfg.registry = env.registry;
-    bcfg.sampler = private_sampler(env);
+    bcfg.sampler = env.lane().sampler;
     bcfg.signer = env.signer;
     bcfg.max_rounds = 32;
     sim.add_process(std::make_unique<ba::BaWhp>(
@@ -174,8 +166,8 @@ RunSurface run_chaos(std::size_t shards, std::size_t threads) {
   cfg.f = 4;
   cfg.seed = 21;
   cfg.chaos = sim::ChaosSchedule::preset("combined", n);
-  cfg.shards = shards;
-  cfg.threads = threads;
+  cfg.engine.shards = shards;
+  cfg.engine.threads = threads;
   sim::Simulation sim(cfg);
   sim.metrics().enable_detail();
   auto trace = std::make_shared<sim::TraceRecorder>();
@@ -186,7 +178,7 @@ RunSurface run_chaos(std::size_t shards, std::size_t threads) {
     bcfg.params = env.params;
     bcfg.vrf = env.vrf;
     bcfg.registry = env.registry;
-    bcfg.sampler = private_sampler(env);
+    bcfg.sampler = env.lane().sampler;
     bcfg.signer = env.signer;
     bcfg.max_rounds = 32;
     sim.add_process(std::make_unique<ba::BaWhp>(
@@ -273,8 +265,8 @@ TEST(ShardedSim, ShardStatsAccountForEveryDelivery) {
   sim::SimConfig cfg;
   cfg.n = n;
   cfg.seed = 11;
-  cfg.shards = 4;
-  cfg.threads = 1;
+  cfg.engine.shards = 4;
+  cfg.engine.threads = 1;
   sim::Simulation sim(cfg);
   for (crypto::ProcessId i = 0; i < n; ++i) {
     coin::WhpCoin::Config ccfg;
@@ -283,7 +275,7 @@ TEST(ShardedSim, ShardStatsAccountForEveryDelivery) {
     ccfg.params = env.params;
     ccfg.vrf = env.vrf;
     ccfg.registry = env.registry;
-    ccfg.sampler = private_sampler(env);
+    ccfg.sampler = env.lane().sampler;
     sim.add_process(std::make_unique<coin::CoinHost>(
         std::make_unique<coin::WhpCoin>(std::move(ccfg))));
   }
@@ -301,7 +293,7 @@ TEST(ShardedSim, ShardsClampedToProcessCount) {
   sim::SimConfig cfg;
   cfg.n = 3;
   cfg.seed = 7;
-  cfg.shards = 16;
+  cfg.engine.shards = 16;
   sim::Simulation sim(cfg);
   EXPECT_TRUE(sim.sharded());
   EXPECT_EQ(sim.shard_count(), 3u);

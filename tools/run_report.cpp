@@ -40,6 +40,7 @@
 
 #include "committee/params.h"
 #include "common/args.h"
+#include "common/errors.h"
 #include "common/parallel.h"
 #include "core/runner.h"
 #include "sim/trace.h"
@@ -197,14 +198,10 @@ int main(int argc, char** argv) {
     o.adversary = core::AdversaryKind::kHeavyTail;
   else if (adv != "random") return fail("unknown --adversary " + adv);
 
-  // Sharded superstep engine (ISSUE 8). The hash-addressed schedule
-  // replaces per-delivery adversary choices, so scheduling adversaries
-  // are refused rather than silently ignored.
-  o.shards = static_cast<std::size_t>(args.get_int("shards", 0));
-  o.threads = static_cast<std::size_t>(args.get_int("sim-threads", 0));
-  if (o.shards > 0 && adv != "random")
-    return fail("--shards needs --adversary random (the superstep "
-                "schedule replaces per-delivery adversary choices)");
+  // Sharded superstep engine. run_agreement refuses the scheduling
+  // adversaries there (the superstep schedule replaces their choices).
+  o.engine.shards = static_cast<std::size_t>(args.get_int("shards", 0));
+  o.engine.threads = static_cast<std::size_t>(args.get_int("sim-threads", 0));
 
   const auto top_k = static_cast<std::size_t>(args.get_int("top", 10));
   const auto samples = static_cast<std::size_t>(args.get_int("samples", 1));
@@ -238,7 +235,12 @@ int main(int argc, char** argv) {
     metrics_prom = pm.str();
   };
 
-  const core::RunReport r = core::run_agreement(o, instruments);
+  core::RunReport r;
+  try {
+    r = core::run_agreement(o, instruments);
+  } catch (const PreconditionError& e) {
+    return fail(e.what());
+  }
   const sim::CounterValues& c = r.counters;
   using sim::Counter;
 
