@@ -4,7 +4,8 @@
 // substitution table: SHA-256 / HMAC throughput, bignum modular
 // exponentiation at several group sizes, the real DDH-VRF (eval+verify)
 // vs the simulation-grade FastVrf, committee sampling, and Shamir
-// share/reconstruct for the dealer-coin baseline.
+// share/reconstruct for the dealer-coin baseline. The JSON context's
+// "sha256_backend" names the compress every SHA-256 above ran on.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -46,6 +47,22 @@ void BM_HmacSha256(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
+
+// One SHA-256 compress backend over 16 KiB (256 blocks), without padding
+// or digest output: main() registers /portable always and /shani only
+// when the CPU has SHA-NI, so one run prices both on the same machine.
+void BM_Sha256Compress(benchmark::State& state, detail::CompressFn compress) {
+  Rng rng(1);
+  const Bytes data = rng.next_bytes(16384);
+  std::uint32_t st[8] = {};
+  for (auto _ : state) {
+    compress(st, data.data(), data.size() / kSha256BlockSize);
+    benchmark::DoNotOptimize(st);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
 
 void BM_BignumModExp(benchmark::State& state) {
   auto bits = static_cast<std::size_t>(state.range(0));
@@ -298,6 +315,12 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&args_count, args.data());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data()))
     return 1;
+  benchmark::RegisterBenchmark("BM_Sha256Compress/portable",
+                               BM_Sha256Compress, detail::compress_portable);
+  if (detail::CompressFn shani = detail::compress_shani())
+    benchmark::RegisterBenchmark("BM_Sha256Compress/shani", BM_Sha256Compress,
+                                 shani);
+  benchmark::AddCustomContext("sha256_backend", detail::compress_backend());
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

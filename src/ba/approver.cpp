@@ -47,11 +47,11 @@ Approver::Approver(Config cfg, Value input, DoneFn on_done)
   // Size every sender bitmap to n and every per-value echo store to W up
   // front — the steady state allocates nothing per message.
   for (Value v : {kZero, kOne, kBot}) {
-    init_seen_[v].resize(cfg_.params.n, false);
-    echo_seen_[v].resize(cfg_.params.n, false);
+    init_seen_[v] = sim::SenderSet(cfg_.params.n);
+    echo_seen_[v] = sim::SenderSet(cfg_.params.n);
     echoes_[v].reserve(cfg_.params.W);
   }
-  ok_seen_.resize(cfg_.params.n, false);
+  ok_seen_ = sim::SenderSet(cfg_.params.n);
   parse_scratch_.reserve(cfg_.params.W);
   distinct_scratch_.reserve(cfg_.params.W);
 }
@@ -86,16 +86,6 @@ bool Approver::handle(sim::Context& ctx, const sim::Message& msg) {
   return false;
 }
 
-bool Approver::mark_seen(std::vector<bool>& seen, crypto::ProcessId from) {
-  // Equivalent of set::insert().second; senders outside [0, n) (possible
-  // only in harnesses that size params.n below the simulation) grow the
-  // bitmap rather than being dropped, matching the old std::set.
-  if (from >= seen.size()) seen.resize(from + 1, false);
-  if (seen[from]) return false;
-  seen[from] = true;
-  return true;
-}
-
 bool Approver::handle_init(sim::Context& ctx, const sim::Message& msg) {
   Value v;
   BytesView election;
@@ -110,9 +100,8 @@ bool Approver::handle_init(sim::Context& ctx, const sim::Message& msg) {
   if (!is_valid_value(v)) return true;
   if (!cfg_.sampler->committee_val(init_seed(), msg.from, election))
     return true;
-  if (!mark_seen(init_seen_[v], msg.from)) return true;
-  ++init_count_[v];
-  if (init_count_[v] >= cfg_.params.B + 1) maybe_echo(ctx, v);
+  if (!init_seen_[v].insert(msg.from)) return true;
+  if (init_seen_[v].size() >= cfg_.params.B + 1) maybe_echo(ctx, v);
   return true;
 }
 
@@ -151,7 +140,7 @@ bool Approver::handle_echo(sim::Context& ctx, const sim::Message& msg) {
       cfg_.batcher ? cfg_.batcher->check_signature(entry)
                    : cfg_.signer->verify(msg.from, entry.message, sig);
   if (!sig_ok) return true;
-  if (!mark_seen(echo_seen_[v], msg.from)) return true;
+  if (!echo_seen_[v].insert(msg.from)) return true;
   // Retain the delivered buffer by refcount; signature and election stay
   // views into it — no deep copy (the old code copied both blobs).
   echoes_[v].push_back({msg.from, msg.payload, sig, election});
@@ -214,10 +203,10 @@ bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
 
   if (cfg_.batcher) {
     // Deferred path. Senders already counted for the phase drop here
-    // (inline: verify then fail mark_seen, no state change); senders with
-    // only PENDING oks must still enqueue — their queued ok might fail
-    // verification where this one passes.
-    if (msg.from < ok_seen_.size() && ok_seen_[msg.from]) return true;
+    // (inline: verify then fail the seen check, no state change); senders
+    // with only PENDING oks must still enqueue — their queued ok might
+    // fail verification where this one passes.
+    if (ok_seen_.contains(msg.from)) return true;
     PendingOk ok;
     ok.buf = msg.payload;  // refcount bump keeps every view alive
     ok.sender = msg.from;
@@ -251,11 +240,10 @@ bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
 void Approver::apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
                         const SharedBytes& buf) {
   if (done_) return;  // state no-op (deferred flush past the threshold)
-  if (!mark_seen(ok_seen_, sender)) return;
+  if (!ok_seen_.insert(sender)) return;
   applied_oks_.push_back({sender, v, buf});
-  ++ok_count_;
   ok_mask_ |= static_cast<std::uint8_t>(1u << v);
-  if (ok_count_ == cfg_.params.W) {
+  if (ok_seen_.size() == cfg_.params.W) {
     done_ = true;
     // Output event: the vals set encoded as a bitmask (bit v for value v).
     int mask = 0;
@@ -273,7 +261,8 @@ bool Approver::should_flush() const {
   // Candidate threshold (see verify_queue.h): if the pending oks could
   // carry the count across W, flush now so done fires in this delivery
   // frame, like inline verification.
-  if (!done_ && ok_count_ + pending_oks_.size() >= cfg_.params.W) return true;
+  if (!done_ && ok_seen_.size() + pending_oks_.size() >= cfg_.params.W)
+    return true;
   return pending_oks_.size() >= cfg_.batcher->watermark();
 }
 

@@ -46,6 +46,7 @@
 #include "crypto/key_registry.h"
 #include "crypto/signer.h"
 #include "sim/process.h"
+#include "sim/sender_set.h"
 
 namespace coincidence::ba {
 
@@ -144,10 +145,6 @@ class Approver {
   /// The byte string an echo(v) member signs (hoisted member).
   const Bytes& echo_sign_bytes(Value v) const { return echo_sign_bytes_[v]; }
 
-  /// insert().second over a growable bitmap (same contract as the old
-  /// std::set: out-of-range senders grow the map, never dropped).
-  static bool mark_seen(std::vector<bool>& seen, crypto::ProcessId from);
-
   void maybe_echo(sim::Context& ctx, Value v);
   void maybe_ok(sim::Context& ctx, Value v);
   bool handle_init(sim::Context& ctx, const sim::Message& msg);
@@ -187,19 +184,17 @@ class Approver {
   Bytes ok_election_proof_;
 
   // init phase: distinct init-committee senders per value (bitmap+count).
-  std::array<std::vector<bool>, 3> init_seen_;
-  std::array<std::uint32_t, 3> init_count_{};
+  std::array<sim::SenderSet, 3> init_seen_;
   std::array<bool, 3> echoed_{};  // values this process already echoed
 
   // echo phase: collected signed echoes per value.
   std::array<std::vector<SignedEcho>, 3> echoes_;
-  std::array<std::vector<bool>, 3> echo_seen_;
+  std::array<sim::SenderSet, 3> echo_seen_;
   bool sent_ok_ = false;
 
   // ok phase.
-  std::vector<bool> ok_seen_;
+  sim::SenderSet ok_seen_;
   std::vector<AppliedOk> applied_oks_;  // counted oks, application order
-  std::uint32_t ok_count_ = 0;
   std::uint8_t ok_mask_ = 0;       // bit v set ⟺ v carried by a valid ok
   std::set<Value> ok_values_;      // materialized from ok_mask_ at done
 

@@ -28,9 +28,9 @@ BaWhp::BaWhp(Config cfg, Value initial)
                "BaWhp: missing crypto environment");
   if (skip_enabled()) {
     tag_decided_ = sim::Tag(cfg_.tag + "/decided");
-    skip_seen_.resize(cfg_.params.n, false);
-    certed_.resize(cfg_.params.n, false);
-    cert_rejected_.resize(cfg_.params.n, false);
+    skip_seen_ = sim::SenderSet(cfg_.params.n);
+    certed_ = sim::SenderSet(cfg_.params.n);
+    cert_rejected_ = sim::SenderSet(cfg_.params.n);
   }
 }
 
@@ -82,8 +82,7 @@ void BaWhp::on_recover(sim::Context& ctx, const Bytes& snapshot) {
   retired_coins_.clear();
   backlog_.clear();
   if (skip_enabled()) {
-    skip_seen_.assign(skip_seen_.size(), false);
-    skip_count_ = 0;
+    skip_seen_.clear();
     sent_skip_ = false;
     skip_attempts_ = 0;
     next_wakeup_at_ = 0;  // wakeups died with the crash (epoch bump)
@@ -92,8 +91,8 @@ void BaWhp::on_recover(sim::Context& ctx, const Bytes& snapshot) {
     decided_by_cert_ = false;
     cert_oks_.clear();
     cert_round_ = 0;
-    certed_.assign(certed_.size(), false);
-    cert_rejected_.assign(cert_rejected_.size(), false);
+    certed_.clear();
+    cert_rejected_.clear();
   }
 
   Bytes state;
@@ -140,8 +139,7 @@ void BaWhp::begin_round(sim::Context& ctx) {
   if (coin_) retired_coins_.push_back(std::move(coin_));
   if (skip_enabled()) {
     tag_skip_ = sim::Tag(round_tag(round_) + "/skip");
-    skip_seen_.assign(skip_seen_.size(), false);
-    skip_count_ = 0;
+    skip_seen_.clear();
     sent_skip_ = false;
     skip_attempts_ = 0;
     lock_checks_ = 0;
@@ -420,8 +418,7 @@ bool BaWhp::handle_skip_req(sim::Context& ctx, const sim::Message& msg) {
     return false;
   }
   if (r < round_) return true;  // stale; this round was already left
-  if (!mark_seen(skip_seen_, msg.from)) return true;
-  ++skip_count_;
+  if (!skip_seen_.insert(msg.from)) return true;
 
   // Lock forwarding: adopt (after full verification) one non-⊥ ok of the
   // dying round as the est to re-propose. Bounded per round so junk
@@ -450,8 +447,8 @@ bool BaWhp::handle_skip_req(sim::Context& ctx, const sim::Message& msg) {
   }
 
   const std::uint64_t f = cfg_.params.f;
-  if (!sent_skip_ && skip_count_ >= f + 1) send_skip_req(ctx);
-  if (skip_count_ >= 2 * f + 1) execute_skip(ctx);
+  if (!sent_skip_ && skip_seen_.size() >= f + 1) send_skip_req(ctx);
+  if (skip_seen_.size() >= 2 * f + 1) execute_skip(ctx);
   return true;
 }
 
@@ -473,9 +470,7 @@ void BaWhp::execute_skip(sim::Context& ctx) {
 void BaWhp::maybe_send_cert(sim::Context& ctx, sim::ProcessId to) {
   const std::size_t W = cfg_.params.W;
   if (!decision_ || cert_oks_.size() < W) return;
-  if (to >= certed_.size()) certed_.resize(to + 1, false);
-  if (certed_[to]) return;  // once per requester: spam cannot amplify
-  certed_[to] = true;
+  if (!certed_.insert(to)) return;  // once per requester: spam cannot amplify
   Writer w;
   w.u64(cert_round_);
   w.u8(static_cast<std::uint8_t>(*decision_));
@@ -489,8 +484,7 @@ void BaWhp::maybe_send_cert(sim::Context& ctx, sim::ProcessId to) {
 
 bool BaWhp::handle_decided_cert(sim::Context& ctx, const sim::Message& msg) {
   if (decision_) return true;
-  if (msg.from < cert_rejected_.size() && cert_rejected_[msg.from])
-    return true;
+  if (cert_rejected_.contains(msg.from)) return true;
 
   const std::size_t W = cfg_.params.W;
   std::uint64_t r = 0;
@@ -509,7 +503,7 @@ bool BaWhp::handle_decided_cert(sim::Context& ctx, const sim::Message& msg) {
     }
     rd.done();
   } catch (const CodecError&) {
-    mark_seen(cert_rejected_, msg.from);
+    cert_rejected_.insert(msg.from);
     return true;
   }
 
@@ -531,7 +525,7 @@ bool BaWhp::handle_decided_cert(sim::Context& ctx, const sim::Message& msg) {
     valid = verified.has_value() && *verified == v;
   }
   if (!valid) {
-    mark_seen(cert_rejected_, msg.from);
+    cert_rejected_.insert(msg.from);
     return true;
   }
 
@@ -546,13 +540,6 @@ bool BaWhp::handle_decided_cert(sim::Context& ctx, const sim::Message& msg) {
         Approver::AppliedOk{sender, v, SharedBytes::copy_of(payload)});
   ctx.note_decide(cfg_.tag, *decision_, r);
   persist_now(ctx);
-  return true;
-}
-
-bool BaWhp::mark_seen(std::vector<bool>& seen, crypto::ProcessId from) {
-  if (from >= seen.size()) seen.resize(from + 1, false);
-  if (seen[from]) return false;
-  seen[from] = true;
   return true;
 }
 

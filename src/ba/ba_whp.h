@@ -162,8 +162,6 @@ class BaWhp final : public BaProcess {
   /// A verified non-⊥ ok of the current round's a2 to forward as a lock:
   /// this process's own applied oks first, else a retained forwarded one.
   std::optional<Approver::AppliedOk> current_lock() const;
-  /// insert().second over a growable sender bitmap (see Approver's).
-  static bool mark_seen(std::vector<bool>& seen, crypto::ProcessId from);
 
   Config cfg_;
   Value initial_;  // recovery fallback when no snapshot survives
@@ -193,8 +191,7 @@ class BaWhp final : public BaProcess {
   // --- Round-skip fallback state (all dormant when skip_timeout == 0).
   sim::Tag tag_decided_;              // "<tag>/decided", round-independent
   sim::Tag tag_skip_;                 // "<tag>/<round_>/skip", per round
-  std::vector<bool> skip_seen_;       // distinct skip-req senders, this round
-  std::uint32_t skip_count_ = 0;
+  sim::SenderSet skip_seen_;          // distinct skip-req senders, this round
   bool sent_skip_ = false;
   std::uint32_t skip_attempts_ = 0;
   std::uint64_t armed_round_ = 0;     // round the pending wakeup watches
@@ -212,8 +209,8 @@ class BaWhp final : public BaProcess {
   // the entries of an accepted forwarded certificate. Retained payloads.
   std::vector<Approver::AppliedOk> cert_oks_;
   std::uint64_t cert_round_ = 0;      // a2 round the certificate verifies in
-  std::vector<bool> certed_;          // requesters already answered
-  std::vector<bool> cert_rejected_;   // senders of invalid certificates
+  sim::SenderSet certed_;             // requesters already answered
+  sim::SenderSet cert_rejected_;      // senders of invalid certificates
 };
 
 }  // namespace coincidence::ba

@@ -1,5 +1,6 @@
 #include "ba/rbc.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/errors.h"
@@ -13,7 +14,9 @@ ReliableBroadcast::ReliableBroadcast(Config cfg, DeliverFn on_deliver)
       tag_initial_(cfg_.tag + "/initial"),
       tag_echo_(cfg_.tag + "/echo"),
       tag_ready_(cfg_.tag + "/ready"),
-      delivered_(cfg_.n, false) {
+      echo_memo_(cfg_.n),
+      echoed_sources_(cfg_.n),
+      delivered_(cfg_.n) {
   COIN_REQUIRE(cfg_.n > 3 * cfg_.f, "ReliableBroadcast: requires n > 3f");
 }
 
@@ -27,15 +30,38 @@ std::uint64_t ReliableBroadcast::flow_key(sim::ProcessId source,
   return fold ^ (static_cast<std::uint64_t>(source) * 0x9e3779b97f4a7c15ull);
 }
 
+ReliableBroadcast::Flow* ReliableBroadcast::find_flow(
+    sim::ProcessId source, const crypto::Digest& digest) {
+  std::vector<Flow>* bucket = flows_.find(flow_key(source, digest));
+  if (bucket == nullptr) return nullptr;
+  for (Flow& flow : *bucket)
+    if (flow.source == source && flow.digest == digest) return &flow;
+  return nullptr;
+}
+
 ReliableBroadcast::Flow& ReliableBroadcast::flow_of(
     sim::ProcessId source, const crypto::Digest& digest) {
-  std::vector<Flow>& bucket = flows_[flow_key(source, digest)];
-  for (Flow& flow : bucket)
-    if (flow.source == source && flow.digest == digest) return flow;
-  Flow& flow = bucket.emplace_back();
+  if (Flow* found = find_flow(source, digest)) return *found;
+  Flow& flow = flows_[flow_key(source, digest)].emplace_back();
   flow.source = source;
   flow.digest = digest;
+  flow.echoes = sim::SenderSet(cfg_.n);
+  flow.readies = sim::SenderSet(cfg_.n);
   return flow;
+}
+
+crypto::Digest ReliableBroadcast::echo_digest(sim::ProcessId source,
+                                              BytesView payload) {
+  std::optional<crypto::Digest>& slot = echo_memo_[source];
+  if (slot) {
+    const Flow* flow = find_flow(source, *slot);
+    if (flow && flow->payload &&
+        std::equal(payload.begin(), payload.end(), flow->payload->begin(),
+                   flow->payload->end()))
+      return *slot;
+  }
+  slot = crypto::sha256(payload);
+  return *slot;
 }
 
 void ReliableBroadcast::broadcast(sim::Context& ctx, Bytes payload) {
@@ -53,14 +79,13 @@ void ReliableBroadcast::maybe_send_ready(sim::Context& ctx, Flow& flow) {
 }
 
 void ReliableBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
-  if (delivered_[flow.source]) return;  // one delivery per source
+  if (delivered_.contains(flow.source)) return;  // one delivery per source
   if (flow.readies.size() < 2 * cfg_.f + 1) return;
   // Readies identify the value only by digest; the payload itself rides
   // in the echoes, and >(n−f)/2 ≥ f+1 correct processes echoed it to
   // everyone before any correct ready fired — it is en route.
   if (!flow.payload.has_value()) return;
-  delivered_[flow.source] = true;
-  ++delivered_count_;
+  delivered_.insert(flow.source);
   // RBC's output event: the delivered flow's source stands in for the
   // (binary) decision value of the BA protocols.
   ctx.note_decide(cfg_.tag, static_cast<int>(flow.source), 0);
@@ -71,7 +96,7 @@ bool ReliableBroadcast::handle(sim::Context& ctx, const sim::Message& msg) {
   if (msg.tag == tag_initial_) {
     // Echo once per source: the first initial wins; an equivocating
     // source simply fails to gather a quorum for either payload.
-    if (echoed_sources_.insert(msg.from).second) {
+    if (echoed_sources_.insert(msg.from)) {
       Writer w;
       w.u32(msg.from).blob(msg.payload);
       ctx.broadcast(tag_echo_, w.take(),
@@ -85,14 +110,13 @@ bool ReliableBroadcast::handle(sim::Context& ctx, const sim::Message& msg) {
   if (!is_echo && !is_ready) return false;
 
   sim::ProcessId source = 0;
-  Bytes payload;
+  BytesView payload;
   crypto::Digest digest{};
   try {
     Reader r(msg.payload);
     source = r.u32();
     if (is_echo) {
-      payload = r.blob();
-      digest = crypto::sha256(payload);
+      payload = r.blob_view();
     } else {
       const Bytes d = r.blob();
       if (d.size() != digest.size()) return true;
@@ -103,16 +127,18 @@ bool ReliableBroadcast::handle(sim::Context& ctx, const sim::Message& msg) {
     return true;
   }
   if (source >= cfg_.n) return true;
+  if (is_echo) digest = echo_digest(source, payload);
 
   Flow& flow = flow_of(source, digest);
   if (is_echo) {
-    if (!flow.echoes.insert(msg.from).second) return true;
-    if (!flow.payload.has_value()) flow.payload = std::move(payload);
+    if (!flow.echoes.insert(msg.from)) return true;
+    if (!flow.payload.has_value())
+      flow.payload.emplace(payload.begin(), payload.end());
     if (2 * flow.echoes.size() > cfg_.n + cfg_.f)
       maybe_send_ready(ctx, flow);
     maybe_deliver(ctx, flow);  // a ready quorum may already be waiting
   } else {
-    if (!flow.readies.insert(msg.from).second) return true;
+    if (!flow.readies.insert(msg.from)) return true;
     if (flow.readies.size() >= cfg_.f + 1) maybe_send_ready(ctx, flow);
     maybe_deliver(ctx, flow);
   }

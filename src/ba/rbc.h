@@ -21,11 +21,20 @@
 // quorum and a payload-bearing echo: readies alone no longer identify
 // the value. Word ledger, exact: initial = 1+⌈|m|/8⌉, echo = initial+1
 // (source word), ready = 1+λ.
+//
+// Hash once per payload: every correct echoer relays the same bytes, so
+// a replica would otherwise digest one payload n times per source. Each
+// replica keeps, per source, the digest of the last echo payload it
+// hashed; an echo whose bytes equal that digest's stored flow payload
+// (one memcmp) reuses the digest, anything else is hashed and replaces
+// the slot. Byte equality is the only way to reuse a digest, so flows
+// and deliveries are exactly those of hashing every echo; an equivocating
+// echoer still costs one hash per distinct payload. Echo and ready
+// tallies are sender bitmaps (sim::SenderSet), not rb-trees.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "ba/broadcast.h"
@@ -33,6 +42,7 @@
 #include "crypto/sha256.h"
 #include "sim/flat_map64.h"
 #include "sim/process.h"
+#include "sim/sender_set.h"
 
 namespace coincidence::ba {
 
@@ -46,9 +56,9 @@ class ReliableBroadcast final : public Broadcast {
   bool handle(sim::Context& ctx, const sim::Message& msg) override;
 
   bool delivered(sim::ProcessId source) const override {
-    return source < delivered_.size() && delivered_[source];
+    return delivered_.contains(source);
   }
-  std::size_t delivered_count() const override { return delivered_count_; }
+  std::size_t delivered_count() const override { return delivered_.size(); }
 
  private:
   // Per (source, payload-digest) echo/ready tallies. Byzantine sources
@@ -61,14 +71,17 @@ class ReliableBroadcast final : public Broadcast {
     // Learned from the first payload-bearing echo (readies only carry
     // the digest). Delivery waits for it.
     std::optional<Bytes> payload;
-    std::set<sim::ProcessId> echoes;
-    std::set<sim::ProcessId> readies;
+    sim::SenderSet echoes;
+    sim::SenderSet readies;
     bool ready_sent = false;
   };
 
   static std::uint64_t flow_key(sim::ProcessId source,
                                 const crypto::Digest& digest);
+  Flow* find_flow(sim::ProcessId source, const crypto::Digest& digest);
   Flow& flow_of(sim::ProcessId source, const crypto::Digest& digest);
+  /// sha256(payload), reusing the source's memo slot on byte equality.
+  crypto::Digest echo_digest(sim::ProcessId source, BytesView payload);
 
   void maybe_send_ready(sim::Context& ctx, Flow& flow);
   void maybe_deliver(sim::Context& ctx, Flow& flow);
@@ -81,9 +94,11 @@ class ReliableBroadcast final : public Broadcast {
   sim::Tag tag_ready_;
 
   sim::FlatMap64<std::vector<Flow>> flows_;
-  std::set<sim::ProcessId> echoed_sources_;  // echo once per source
-  std::vector<bool> delivered_;
-  std::size_t delivered_count_ = 0;
+  // Per source: the digest of the last echo payload hashed. Its bytes
+  // are that digest's flow payload, so nothing is stored twice.
+  std::vector<std::optional<crypto::Digest>> echo_memo_;
+  sim::SenderSet echoed_sources_;  // echo once per source
+  sim::SenderSet delivered_;  // sources delivered, once each
 };
 
 }  // namespace coincidence::ba

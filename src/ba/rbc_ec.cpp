@@ -42,7 +42,8 @@ EcBroadcast::EcBroadcast(Config cfg, DeliverFn on_deliver)
       tag_initial_(cfg_.tag + "/initial"),
       tag_echo_(cfg_.tag + "/echo"),
       tag_ready_(cfg_.tag + "/ready"),
-      delivered_(cfg_.n, false) {
+      echoed_sources_(cfg_.n),
+      delivered_(cfg_.n) {
   COIN_REQUIRE(cfg_.n > 3 * cfg_.f, "EcBroadcast: requires n > 3f");
 }
 
@@ -70,6 +71,8 @@ EcBroadcast::Flow& EcBroadcast::flow_of(sim::ProcessId source,
   Flow& flow = bucket.emplace_back();
   flow.source = source;
   flow.key = key;
+  flow.echoes = sim::SenderSet(cfg_.n);
+  flow.readies = sim::SenderSet(cfg_.n);
   return flow;
 }
 
@@ -110,7 +113,7 @@ void EcBroadcast::handle_initial(sim::Context& ctx, const sim::Message& msg) {
   // Echo once per source: the first branch-valid initial wins; an
   // equivocating source splits its echo power across roots and gathers a
   // quorum for at most one.
-  if (echoed_sources_.count(msg.from)) return;
+  if (echoed_sources_.contains(msg.from)) return;
 
   std::uint64_t size = 0;
   Bytes fragment;
@@ -171,7 +174,7 @@ void EcBroadcast::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   if (!implied || *implied != claimed_root) return;
 
   Flow& flow = flow_of(source, composite_key(claimed_root, size));
-  if (!flow.echoes.insert(msg.from).second) return;
+  if (!flow.echoes.insert(msg.from)) return;
   if (!flow.have_root) {
     flow.have_root = true;
     flow.root = claimed_root;
@@ -200,7 +203,7 @@ void EcBroadcast::handle_ready(sim::Context& ctx, const sim::Message& msg) {
   if (source >= cfg_.n) return;
 
   Flow& flow = flow_of(source, key);
-  if (!flow.readies.insert(msg.from).second) return;
+  if (!flow.readies.insert(msg.from)) return;
   if (flow.readies.size() >= cfg_.f + 1) maybe_send_ready(ctx, flow);
   maybe_deliver(ctx, flow);
 }
@@ -215,7 +218,7 @@ void EcBroadcast::maybe_send_ready(sim::Context& ctx, Flow& flow) {
 }
 
 void EcBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
-  if (delivered_[flow.source] || flow.poisoned) return;
+  if (delivered_.contains(flow.source) || flow.poisoned) return;
   if (flow.readies.size() < 2 * cfg_.f + 1) return;
   const std::size_t k = cfg_.f + 1;
   if (!flow.have_root || flow.fragments.size() < k) return;
@@ -253,8 +256,7 @@ void EcBroadcast::maybe_deliver(sim::Context& ctx, Flow& flow) {
     return;
   }
 
-  delivered_[flow.source] = true;
-  ++delivered_count_;
+  delivered_.insert(flow.source);
   ctx.note_decide(cfg_.tag, static_cast<int>(flow.source), 0);
   if (on_deliver_) on_deliver_(flow.source, value);
 }

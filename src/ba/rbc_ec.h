@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "ba/broadcast.h"
@@ -54,6 +53,7 @@
 #include "crypto/sha256.h"
 #include "sim/flat_map64.h"
 #include "sim/process.h"
+#include "sim/sender_set.h"
 
 namespace coincidence::ba {
 
@@ -67,9 +67,9 @@ class EcBroadcast final : public Broadcast {
   bool handle(sim::Context& ctx, const sim::Message& msg) override;
 
   bool delivered(sim::ProcessId source) const override {
-    return source < delivered_.size() && delivered_[source];
+    return delivered_.contains(source);
   }
-  std::size_t delivered_count() const override { return delivered_count_; }
+  std::size_t delivered_count() const override { return delivered_.size(); }
 
  private:
   // One flow per (source, H(root ‖ |v|)): fragment store + echo/ready
@@ -82,8 +82,8 @@ class EcBroadcast final : public Broadcast {
     std::uint64_t value_size = 0;
     bool have_root = false;
     std::map<std::size_t, Bytes> fragments;  // branch-valid, by index
-    std::set<sim::ProcessId> echoes;
-    std::set<sim::ProcessId> readies;
+    sim::SenderSet echoes;
+    sim::SenderSet readies;
     bool ready_sent = false;
     bool poisoned = false;  // failed the re-encode consistency check
   };
@@ -113,9 +113,8 @@ class EcBroadcast final : public Broadcast {
   sim::Tag tag_ready_;
 
   sim::FlatMap64<std::vector<Flow>> flows_;
-  std::set<sim::ProcessId> echoed_sources_;  // echo once per source
-  std::vector<bool> delivered_;
-  std::size_t delivered_count_ = 0;
+  sim::SenderSet echoed_sources_;  // echo once per source
+  sim::SenderSet delivered_;  // sources delivered, once each
 };
 
 }  // namespace coincidence::ba

@@ -51,8 +51,8 @@ WhpCoin::WhpCoin(Config cfg, DoneFn on_done)
       tag_second_(cfg_.tag + "/second"),
       first_seed_(cfg_.tag + "/first"),
       second_seed_(cfg_.tag + "/second"),
-      first_seen_(cfg_.params.n, false),
-      second_seen_(cfg_.params.n, false) {
+      first_seen_(cfg_.params.n),
+      second_seen_(cfg_.params.n) {
   COIN_REQUIRE(cfg_.vrf && cfg_.registry && cfg_.sampler,
                "WhpCoin: missing crypto environment");
   COIN_REQUIRE(cfg_.params.n > 0 && cfg_.params.W > 0,
@@ -81,16 +81,6 @@ void WhpCoin::fold_min(BytesView value, crypto::ProcessId origin,
   }
 }
 
-bool WhpCoin::mark_seen(std::vector<bool>& seen, crypto::ProcessId from) {
-  // Equivalent of set::insert().second; senders outside [0, n) (possible
-  // only in harnesses that size params.n below the simulation) grow the
-  // bitmap rather than being dropped, matching the old std::set.
-  if (from >= seen.size()) seen.resize(from + 1, false);
-  if (seen[from]) return false;
-  seen[from] = true;
-  return true;
-}
-
 void WhpCoin::start(sim::Context& ctx) {
   auto first = cfg_.sampler->sample(ctx.self(), first_seed_);
   auto second = cfg_.sampler->sample(ctx.self(), second_seed_);
@@ -114,13 +104,13 @@ void WhpCoin::apply_share(sim::Context& ctx, bool is_first,
                           crypto::ProcessId origin, BytesView origin_proof) {
   if (is_first ? (!in_second_ || done_) : done_) return;  // state no-op
   if (is_first) {
-    if (!mark_seen(first_seen_, sender)) return;
-    ++first_count_;
+    if (!first_seen_.insert(sender)) return;
     fold_min(value, origin, origin_proof);
-    if (!sent_second_ && first_count_ == cfg_.params.W) {
+    if (!sent_second_ && first_seen_.size() == cfg_.params.W) {
       sent_second_ = true;
-      for (crypto::ProcessId p = 0; p < first_seen_.size(); ++p)
-        if (first_seen_[p]) first_snapshot_.insert(first_snapshot_.end(), p);
+      first_seen_.for_each([&](crypto::ProcessId p) {
+        first_snapshot_.insert(first_snapshot_.end(), p);
+      });
       Wire relay{min_value_, min_origin_, min_origin_proof_,
                  second_election_proof_};
       ctx.broadcast(tag_second_, relay.encode(), kWhpCoinMessageWords);
@@ -129,10 +119,9 @@ void WhpCoin::apply_share(sim::Context& ctx, bool is_first,
   }
 
   // <second>: every process participates in the final wait (lines 13–17).
-  if (!mark_seen(second_seen_, sender)) return;
-  ++second_count_;
+  if (!second_seen_.insert(sender)) return;
   fold_min(value, origin, origin_proof);
-  if (second_count_ == cfg_.params.W) {
+  if (second_seen_.size() == cfg_.params.W) {
     done_ = true;
     output_ = min_value_.back() & 1;
     ctx.note_decide(cfg_.tag, output_, cfg_.round);
@@ -145,9 +134,9 @@ bool WhpCoin::should_flush() const {
   // could carry a phase across W, flush now so the threshold action
   // fires in this delivery frame, like inline verification.
   if (!sent_second_ && in_second_ &&
-      first_count_ + queue_.pending_first() >= cfg_.params.W)
+      first_seen_.size() + queue_.pending_first() >= cfg_.params.W)
     return true;
-  if (!done_ && second_count_ + queue_.pending_second() >= cfg_.params.W)
+  if (!done_ && second_seen_.size() + queue_.pending_second() >= cfg_.params.W)
     return true;
   return queue_.pending() >= cfg_.batcher->watermark();
 }
@@ -222,11 +211,11 @@ bool WhpCoin::handle(sim::Context& ctx, const sim::Message& msg) {
 
   if (cfg_.batcher) {
     // Deferred path. Senders already counted for the phase drop here
-    // (inline: verify then fail mark_seen, no state change); senders with
-    // only PENDING shares must still enqueue — their queued share might
-    // fail verification where this one passes.
-    const std::vector<bool>& seen = is_first ? first_seen_ : second_seen_;
-    if (msg.from < seen.size() && seen[msg.from]) return true;
+    // (inline: verify then fail the seen check, no state change); senders
+    // with only PENDING shares must still enqueue — their queued share
+    // might fail verification where this one passes.
+    if ((is_first ? first_seen_ : second_seen_).contains(msg.from))
+      return true;
     PendingVerifyQueue::Share share;
     share.buf = msg.payload;  // refcount bump keeps the views alive
     share.sender = msg.from;

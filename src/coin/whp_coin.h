@@ -24,6 +24,7 @@
 #include "committee/sampler.h"
 #include "crypto/key_registry.h"
 #include "crypto/vrf.h"
+#include "sim/sender_set.h"
 
 namespace coincidence::coin {
 
@@ -72,7 +73,6 @@ class WhpCoin final : public CoinProtocol {
 
   void fold_min(BytesView value, crypto::ProcessId origin,
                 BytesView origin_proof);
-  bool mark_seen(std::vector<bool>& seen, crypto::ProcessId from);
   /// Applies one share whose election AND value proofs verified — the
   /// state transition shared by the inline and deferred paths.
   void apply_share(sim::Context& ctx, bool is_first,
@@ -102,12 +102,9 @@ class WhpCoin final : public CoinProtocol {
   Bytes min_value_;  // empty encodes the paper's v_i = ∞
   crypto::ProcessId min_origin_ = 0;
   Bytes min_origin_proof_;
-  // Per-sender dedup bitmaps + counts (replacing std::set: no node
-  // allocation per accepted message).
-  std::vector<bool> first_seen_;
-  std::vector<bool> second_seen_;
-  std::size_t first_count_ = 0;
-  std::size_t second_count_ = 0;
+  // Distinct senders whose share was applied, per phase.
+  sim::SenderSet first_seen_;
+  sim::SenderSet second_seen_;
   std::set<crypto::ProcessId> first_snapshot_;  // first set at second-send
   bool sent_second_ = false;
   bool done_ = false;

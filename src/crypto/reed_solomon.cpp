@@ -33,13 +33,28 @@ const Tables& tables() {
   return t;
 }
 
+// The full 256×256 product table (64 KB): row a holds a·b for every b,
+// so a codec inner loop multiplying by a fixed weight is one load per
+// byte with no zero branches.
+struct Products {
+  std::uint8_t row[256][256];
+
+  Products() {
+    const Tables& t = tables();
+    for (int a = 0; a < 256; ++a)
+      for (int b = 0; b < 256; ++b)
+        row[a][b] = (a == 0 || b == 0) ? 0 : t.exp[t.log[a] + t.log[b]];
+  }
+};
+
+const std::uint8_t* mul_row(std::uint8_t a) {
+  static const Products p;
+  return p.row[a];
+}
+
 }  // namespace
 
-std::uint8_t mul(std::uint8_t a, std::uint8_t b) {
-  if (a == 0 || b == 0) return 0;
-  const Tables& t = tables();
-  return t.exp[t.log[a] + t.log[b]];
-}
+std::uint8_t mul(std::uint8_t a, std::uint8_t b) { return mul_row(a)[b]; }
 
 std::uint8_t inv(std::uint8_t a) {
   COIN_REQUIRE(a != 0, "gf256::inv: zero has no inverse");
@@ -98,9 +113,9 @@ std::vector<Bytes> ReedSolomon::encode(BytesView value) const {
     for (std::size_t m = 0; m < k_; ++m) {
       const std::uint8_t w = row[m];
       if (w == 0) continue;
+      const std::uint8_t* prod = gf256::mul_row(w);
       const Bytes& data = fragments[m];
-      for (std::size_t j = 0; j < len; ++j)
-        out[j] ^= gf256::mul(w, data[j]);
+      for (std::size_t j = 0; j < len; ++j) out[j] ^= prod[data[j]];
     }
   }
   return fragments;
@@ -142,11 +157,11 @@ Bytes ReedSolomon::decode(
     }
     const std::vector<std::uint8_t> row =
         lagrange_row(xs, static_cast<std::uint8_t>(m));
-    for (std::size_t j = 0; j < take; ++j) {
-      std::uint8_t acc = 0;
-      for (std::size_t s = 0; s < k_; ++s)
-        acc ^= gf256::mul(row[s], fragments[s].second[j]);
-      value[off + j] = acc;
+    std::uint8_t* out = value.data() + off;  // zero-initialized
+    for (std::size_t s = 0; s < k_; ++s) {
+      const std::uint8_t* prod = gf256::mul_row(row[s]);
+      const Bytes& frag = fragments[s].second;
+      for (std::size_t j = 0; j < take; ++j) out[j] ^= prod[frag[j]];
     }
   }
   return value;

@@ -13,9 +13,10 @@
 // p_j(x_i) at every position j. Decoding Lagrange-interpolates each
 // position from any k distinct fragments. All arithmetic is in GF(2^8)
 // with the AES-adjacent primitive polynomial x^8+x^4+x^3+x^2+1 (0x11d),
-// multiplied via log/exp tables. Field size caps n at 255 fragments —
-// plenty for the session-layer configurations; callers must gate larger
-// cohorts onto the Bracha backend.
+// multiplied via one 64 KB product table built once from log/exp
+// tables. Field size caps n at 255 fragments — plenty for the
+// session-layer configurations; callers must gate larger cohorts onto
+// the Bracha backend.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,12 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define COINCIDENCE_SHA256_SHANI 1
+#include <immintrin.h>
+#endif
 
 #include "common/errors.h"
 
@@ -29,100 +35,187 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+#ifdef COINCIDENCE_SHA256_SHANI
+// Four rounds per sha256rnds2 pair; the state travels as the (ABEF, CDGH)
+// lane split the instructions expect. W[16..63] come from msg1/msg2 over
+// the four previous message quads, W[t-7] via alignr.
+__attribute__((target("sha,sse4.1"))) void compress_shani_impl(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i cdgh =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xb1);    // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1b);  // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xf0);
+
+  for (; blocks > 0; --blocks, data += kSha256BlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int q = 0; q < 16; ++q) {
+      if (q < 4) {
+        w[q] = _mm_shuffle_epi8(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(data + 16 * q)),
+            kByteSwap);
+      } else {
+        __m128i next = _mm_sha256msg1_epu32(w[q & 3], w[(q + 1) & 3]);
+        next = _mm_add_epi32(
+            next, _mm_alignr_epi8(w[(q + 3) & 3], w[(q + 2) & 3], 4));
+        w[q & 3] = _mm_sha256msg2_epu32(next, w[(q + 3) & 3]);
+      }
+      __m128i msg = _mm_add_epi32(
+          w[q & 3],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * q)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+      msg = _mm_shuffle_epi32(msg, 0x0e);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1b);    // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xb1);   // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xf0);  // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), cdgh);
+}
+#endif
+
 }  // namespace
 
-Sha256::Sha256() {
-  std::memcpy(state_.data(), kInit, sizeof(kInit));
+namespace detail {
+
+void compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                       std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += kSha256BlockSize) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
+      std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
+CompressFn compress_shani() {
+#ifdef COINCIDENCE_SHA256_SHANI
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1"))
+    return compress_shani_impl;
+#endif
+  return nullptr;
+}
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+CompressFn compress() {
+  static const CompressFn fn = [] {
+    const CompressFn shani = compress_shani();
+    return shani != nullptr ? shani : compress_portable;
+  }();
+  return fn;
+}
 
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
+const char* compress_backend() {
+  return compress() == compress_portable ? "portable" : "shani";
+}
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+}  // namespace detail
+
+Sha256::Sha256(detail::CompressFn compress) : compress_(compress) {
+  std::memcpy(state_.data(), kInit, sizeof(kInit));
 }
 
 void Sha256::update(BytesView data) {
   COIN_REQUIRE(!finished_, "Sha256: update after finish");
+  if (data.empty()) return;
   total_len_ += data.size();
-  std::size_t off = 0;
+  const std::uint8_t* p = data.data();
+  std::size_t len = data.size();
   if (buffer_len_ > 0) {
-    std::size_t take = std::min(kSha256BlockSize - buffer_len_, data.size());
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+    const std::size_t take = std::min(kSha256BlockSize - buffer_len_, len);
+    std::memcpy(buffer_.data() + buffer_len_, p, take);
     buffer_len_ += take;
-    off += take;
-    if (buffer_len_ == kSha256BlockSize) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    p += take;
+    len -= take;
+    if (buffer_len_ < kSha256BlockSize) return;
+    compress_(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (data.size() - off >= kSha256BlockSize) {
-    process_block(data.data() + off);
-    off += kSha256BlockSize;
+  const std::size_t blocks = len / kSha256BlockSize;
+  if (blocks > 0) {
+    compress_(state_.data(), p, blocks);
+    p += blocks * kSha256BlockSize;
+    len -= blocks * kSha256BlockSize;
   }
-  if (off < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
-    buffer_len_ = data.size() - off;
-  }
+  std::memcpy(buffer_.data(), p, len);
+  buffer_len_ = len;
 }
 
 Digest Sha256::finish() {
   COIN_REQUIRE(!finished_, "Sha256: finish called twice");
   finished_ = true;
 
+  // Pad with 0x80 and zeros to 56 mod 64 (spilling into a second block
+  // when fewer than 9 bytes are left), then the 64-bit big-endian length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kSha256BlockSize - 8) {
+    std::memset(buffer_.data() + buffer_len_, 0,
+                kSha256BlockSize - buffer_len_);
+    compress_(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0,
+              kSha256BlockSize - 8 - buffer_len_);
   std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad[kSha256BlockSize * 2] = {0x80};
-  // Pad to 56 mod 64, then append the 64-bit big-endian length.
-  std::size_t pad_len = (buffer_len_ < 56) ? (56 - buffer_len_)
-                                           : (120 - buffer_len_);
-  std::uint8_t len_be[8];
   for (int i = 7; i >= 0; --i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len & 0xff);
+    buffer_[kSha256BlockSize - 8 + i] =
+        static_cast<std::uint8_t>(bit_len & 0xff);
     bit_len >>= 8;
   }
-
-  finished_ = false;  // allow the two internal updates below
-  update(BytesView(pad, pad_len));
-  update(BytesView(len_be, 8));
-  finished_ = true;
-  COIN_REQUIRE(buffer_len_ == 0, "Sha256: padding error");
+  compress_(state_.data(), buffer_.data(), 1);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -155,6 +155,52 @@ TEST(Rbc, ForgedReadyQuorumCannotFakeDelivery) {
   }
 }
 
+TEST(Rbc, EchoDigestReuseNeedsByteEquality) {
+  // Replicas reuse a source's last echo digest when an echo's bytes equal
+  // that digest's stored payload. Two Byzantine echoers relay, for the
+  // correct source 0, a same-length forgery differing only in its last
+  // byte, interleaved with the real payload, so every replica's slot for
+  // source 0 flips back and forth. Reusing a digest on anything short of
+  // byte equality would count correct echoes toward the forgery.
+  sim::SimConfig cfg;
+  cfg.n = 7;
+  cfg.f = 2;
+  cfg.seed = 13;
+  Bytes real(96);
+  for (std::size_t i = 0; i < real.size(); ++i)
+    real[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  Bytes forged = real;
+  forged.back() ^= 1;
+  sim::Simulation sim(cfg);
+  for (sim::ProcessId i = 0; i < 7; ++i)
+    sim.add_process(std::make_unique<RbcHost>(
+        rbc_cfg(7, 2), i == 0 ? std::optional<Bytes>(real) : std::nullopt));
+  sim.corrupt(5, sim::FaultPlan::silent());
+  sim.corrupt(6, sim::FaultPlan::silent());
+  auto echo_of = [](const Bytes& payload) {
+    Writer w;
+    w.u32(0).blob(payload);
+    return w.take();
+  };
+  const crypto::Digest fd = crypto::sha256(forged);
+  Writer ready;
+  ready.u32(0).blob(BytesView(fd.data(), fd.size()));
+  sim.start();
+  for (int round = 0; round < 4; ++round)
+    for (sim::ProcessId from : {5, 6})
+      for (sim::ProcessId to = 0; to < 5; ++to) {
+        sim.inject(from, to, "rbc/echo", echo_of(forged), 14);
+        sim.inject(from, to, "rbc/echo", echo_of(real), 14);
+        sim.inject(from, to, "rbc/ready", ready.bytes(), 5);
+      }
+  sim.run();
+  for (sim::ProcessId i = 0; i < 5; ++i) {
+    auto& host = dynamic_cast<RbcHost&>(sim.process(i));
+    ASSERT_EQ(host.delivered.count(0), 1u) << i;
+    EXPECT_EQ(host.delivered[0], real) << i;
+  }
+}
+
 TEST(Rbc, MalformedEchoIgnored) {
   sim::SimConfig cfg;
   cfg.n = 4;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/errors.h"
+#include "common/rng.h"
 
 namespace coincidence::crypto {
 namespace {
@@ -91,6 +92,58 @@ TEST(Sha256, BytesHelperMatches) {
   Digest d = sha256(bytes_of("abc"));
   Bytes b = sha256_bytes(bytes_of("abc"));
   EXPECT_TRUE(std::equal(d.begin(), d.end(), b.begin(), b.end()));
+}
+
+// Hashes `msg` with a pinned backend, fed in random-size update() splits.
+Digest split_digest(detail::CompressFn compress, BytesView msg, Rng& rng) {
+  Sha256 h(compress);
+  std::size_t off = 0;
+  while (off < msg.size()) {
+    const std::size_t take = std::min<std::size_t>(
+        msg.size() - off, 1 + rng.next_u64() % 150);
+    h.update(msg.subspan(off, take));
+    off += take;
+  }
+  return h.finish();
+}
+
+TEST(Sha256, CompressBackendsAgree) {
+  const detail::CompressFn shani = detail::compress_shani();
+  if (shani == nullptr)
+    GTEST_SKIP() << "no SHA-NI on this CPU/build: only the portable "
+                    "compress exists here";
+  EXPECT_STREQ(detail::compress_backend(), "shani");
+
+  // FIPS 180-4 vectors through each backend directly.
+  const std::pair<std::string, std::string> vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"}};
+  for (const auto& [msg, hex] : vectors) {
+    for (detail::CompressFn fn : {detail::compress_portable, shani}) {
+      Sha256 h(fn);
+      h.update(bytes_of(msg));
+      const Digest d = h.finish();
+      EXPECT_EQ(to_hex(BytesView(d.data(), d.size())), hex) << msg;
+    }
+  }
+
+  // Seeded fuzz over the padding edges and multi-block runs, each length
+  // fed in several random split patterns.
+  Rng rng(2024);
+  for (std::size_t len : {0u, 1u, 55u, 56u, 63u, 64u, 65u, 127u, 128u, 129u,
+                          2048u, 4999u, 5000u}) {
+    const Bytes msg = rng.next_bytes(len);
+    for (int trial = 0; trial < 8; ++trial) {
+      const Digest portable =
+          split_digest(detail::compress_portable, msg, rng);
+      EXPECT_EQ(split_digest(shani, msg, rng), portable)
+          << "len=" << len << " trial=" << trial;
+      EXPECT_EQ(sha256(msg), portable) << "len=" << len;
+    }
+  }
 }
 
 }  // namespace
