@@ -16,6 +16,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ba/ba_whp.h"
@@ -172,10 +173,7 @@ class NullSampler final : public committee::Sampler {
 
   bool committee_val(const std::string& seed, crypto::ProcessId i,
                      BytesView proof) const override {
-    if (proof.size() != 32) return false;
-    std::uint8_t expect[32];
-    if (!elect(i, seed, expect)) return false;
-    return std::memcmp(expect, proof.data(), 32) == 0;
+    return check(seed, i, proof);
   }
 
   /// Batch contract: out[i] == committee_val(checks[i]). The base-class
@@ -185,13 +183,19 @@ class NullSampler final : public committee::Sampler {
                            std::vector<char>& out) const override {
     out.assign(checks.size(), 0);
     for (std::size_t i = 0; i < checks.size(); ++i)
-      out[i] =
-          committee_val(*checks[i].seed, checks[i].id, checks[i].proof) ? 1
-                                                                        : 0;
+      out[i] = check(checks[i].seed, checks[i].id, checks[i].proof) ? 1 : 0;
   }
 
  private:
-  bool elect(crypto::ProcessId i, const std::string& seed,
+  bool check(std::string_view seed, crypto::ProcessId i,
+             BytesView proof) const {
+    if (proof.size() != 32) return false;
+    std::uint8_t expect[32];
+    if (!elect(i, seed, expect)) return false;
+    return std::memcmp(expect, proof.data(), 32) == 0;
+  }
+
+  bool elect(crypto::ProcessId i, std::string_view seed,
              std::uint8_t proof[32]) const {
     std::uint64_t id64 = i;
     std::uint64_t h = fnv1a(kFnvOffset,

@@ -144,6 +144,7 @@ bool Approver::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   // Retain the delivered buffer by refcount; signature and election stay
   // views into it — no deep copy (the old code copied both blobs).
   echoes_[v].push_back({msg.from, msg.payload, sig, election});
+  learn(v, {msg.from, sig, election});
   if (echoes_[v].size() >= cfg_.params.W) maybe_ok(ctx, v);
   return true;
 }
@@ -162,43 +163,61 @@ void Approver::maybe_ok(sim::Context& ctx, Value v) {
   ctx.broadcast(tag_ok_, w.take(), ok_words(cfg_.params.W));
 }
 
+bool Approver::parse_ok(BytesView payload, std::size_t W, Value& v,
+                        BytesView& election,
+                        std::vector<OkProofEntry>& entries,
+                        std::vector<crypto::ProcessId>& ids) {
+  entries.clear();
+  try {
+    Reader r(payload);
+    v = r.u8();
+    election = r.blob_view();
+    if (r.u32() != W) return false;  // wrong proof arity
+    for (std::size_t i = 0; i < W; ++i) {
+      OkProofEntry e;
+      e.sender = r.u32();
+      e.signature = r.blob_view();
+      e.election_proof = r.blob_view();
+      entries.push_back(e);
+    }
+    r.done();
+  } catch (const CodecError&) {
+    return false;
+  }
+  if (!is_valid_value(v)) return false;
+  // The embedded echoes must come from W *distinct* senders: sort the
+  // ids and scan for an adjacent duplicate.
+  ids.clear();
+  for (const OkProofEntry& e : entries) ids.push_back(e.sender);
+  std::sort(ids.begin(), ids.end());
+  return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
+}
+
+bool Approver::known(Value v, const OkProofEntry& e) const {
+  const std::vector<KnownEntry>& table = known_[v];
+  if (e.sender >= table.size() || !table[e.sender].set) return false;
+  const KnownEntry& k = table[e.sender];
+  return std::ranges::equal(k.signature, e.signature) &&
+         std::ranges::equal(k.election_proof, e.election_proof);
+}
+
+void Approver::learn(Value v, const OkProofEntry& e) {
+  if (e.sender >= cfg_.params.n) return;  // the table covers ids [0, n)
+  std::vector<KnownEntry>& table = known_[v];
+  if (table.empty()) table.resize(cfg_.params.n);
+  KnownEntry& k = table[e.sender];
+  if (!k.set) k = {e.signature, e.election_proof, true};
+}
+
 bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
   if (done_) return true;
   Value v;
   BytesView election;
   // Proof entries borrow from the message buffer; nothing is copied. The
-  // scratch is committed to the pending queue only after r.done()
-  // succeeds, so a truncated payload leaves no partial state.
-  parse_scratch_.clear();
-  try {
-    Reader r(msg.payload);
-    v = r.u8();
-    election = r.blob_view();
-    std::uint32_t count = r.u32();
-    if (count != cfg_.params.W) return true;  // wrong proof arity
-    for (std::uint32_t i = 0; i < count; ++i) {
-      OkProofEntry e;
-      e.sender = r.u32();
-      e.signature = r.blob_view();
-      e.election_proof = r.blob_view();
-      parse_scratch_.push_back(e);
-    }
-    r.done();
-  } catch (const CodecError&) {
-    return true;
-  }
-  if (!is_valid_value(v)) return true;
-
-  // The embedded echoes must come from W *distinct* senders. Sort a
-  // scratch of ids and scan for an adjacent duplicate — the only
-  // stateless filter cheaper than a verification, so it runs first in
-  // both paths (the old code built a std::set here, W nodes per message).
-  distinct_scratch_.clear();
-  for (const OkProofEntry& e : parse_scratch_)
-    distinct_scratch_.push_back(e.sender);
-  std::sort(distinct_scratch_.begin(), distinct_scratch_.end());
-  if (std::adjacent_find(distinct_scratch_.begin(), distinct_scratch_.end()) !=
-      distinct_scratch_.end())
+  // distinct-sender filter is the only stateless check cheaper than a
+  // verification, so it runs first in both paths.
+  if (!parse_ok(msg.payload, cfg_.params.W, v, election, parse_scratch_,
+                distinct_scratch_))
     return true;
 
   if (cfg_.batcher) {
@@ -222,25 +241,33 @@ bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
   }
 
   // Inline path: the sender's ok election, the W embedded echo elections,
-  // then the W signatures, stopping at the first failure.
+  // then the W signatures, stopping at the first failure. A known entry
+  // skips both of its checks.
   if (!cfg_.sampler->committee_val(ok_seed(), msg.from, election))
     return true;
-  for (const OkProofEntry& e : parse_scratch_)
-    if (!cfg_.sampler->committee_val(echo_seed(v), e.sender,
-                                     e.election_proof))
+  std::size_t reused = 0;
+  for (const OkProofEntry& e : parse_scratch_) {
+    if (known(v, e))
+      ++reused;
+    else if (!cfg_.sampler->committee_val(echo_seed(v), e.sender,
+                                          e.election_proof))
       return true;
+  }
+  ctx.count(sim::Counter::kOkEntriesReused, reused);
   const Bytes& expected = echo_sign_bytes(v);
   for (const OkProofEntry& e : parse_scratch_)
-    if (!cfg_.signer->verify(e.sender, expected, e.signature)) return true;
+    if (!known(v, e) && !cfg_.signer->verify(e.sender, expected, e.signature))
+      return true;
 
-  apply_ok(ctx, msg.from, v, msg.payload);
+  if (apply_ok(ctx, msg.from, v, msg.payload))
+    for (const OkProofEntry& e : parse_scratch_) learn(v, e);
   return true;
 }
 
-void Approver::apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
+bool Approver::apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
                         const SharedBytes& buf) {
-  if (done_) return;  // state no-op (deferred flush past the threshold)
-  if (!ok_seen_.insert(sender)) return;
+  if (done_) return false;  // state no-op (deferred flush past the threshold)
+  if (!ok_seen_.insert(sender)) return false;
   applied_oks_.push_back({sender, v, buf});
   ok_mask_ |= static_cast<std::uint8_t>(1u << v);
   if (ok_seen_.size() == cfg_.params.W) {
@@ -255,6 +282,7 @@ void Approver::apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
     ctx.note_decide(cfg_.tag, mask, 0);
     if (on_done_) on_done_(ok_values_);
   }
+  return true;
 }
 
 bool Approver::should_flush() const {
@@ -279,65 +307,71 @@ void Approver::flush_ok_queue(sim::Context& ctx) {
 
   const std::size_t W = cfg_.params.W;
 
-  // One folded election batch over all (W+1)·k proofs: each ok's sender
-  // election plus its W embedded echo elections. Inline would stop at
-  // the first failure; verifying the rest anyway changes no verdict
-  // (committee_val is pure), only cache population.
+  // One folded election batch: each ok's sender election plus the
+  // elections of its entries this replica has not accepted before (a
+  // known entry skips both of its checks). Inline would stop at the
+  // first failure; verifying the rest anyway changes no verdict
+  // (committee_val is pure), only memo population.
+  known_scratch_.resize(entries.size());
   check_scratch_.clear();
-  check_scratch_.reserve(oks.size() * (W + 1));
   for (const PendingOk& ok : oks) {
     check_scratch_.push_back(
-        committee::Sampler::ValCheck{&ok_seed(), ok.sender, ok.election});
-    for (std::size_t j = 0; j < W; ++j) {
-      const OkProofEntry& e = entries[ok.first_entry + j];
-      check_scratch_.push_back(committee::Sampler::ValCheck{
-          &echo_seed(ok.v), e.sender, e.election_proof});
+        committee::Sampler::ValCheck{ok_seed(), ok.sender, ok.election});
+    for (std::size_t k = ok.first_entry; k < ok.first_entry + W; ++k) {
+      known_scratch_[k] = known(ok.v, entries[k]);
+      if (!known_scratch_[k])
+        check_scratch_.push_back(committee::Sampler::ValCheck{
+            echo_seed(ok.v), entries[k].sender, entries[k].election_proof});
     }
   }
   cfg_.batcher->verify_elections(check_scratch_, election_ok_scratch_);
 
-  // Signatures enter the batch only for oks whose elections all passed,
-  // matching the inline short-circuit (elections before signatures).
+  // Signatures of the unknown entries enter the batch only for oks whose
+  // elections all passed, matching the inline short-circuit (elections
+  // before signatures). Verdicts are consumed in push order.
   accept_scratch_.assign(oks.size(), 0);
   sig_scratch_.clear();
-  sig_ok_of_scratch_.clear();  // ok index per W-entry sig group
+  std::size_t next = 0, reused = 0;
   for (std::size_t i = 0; i < oks.size(); ++i) {
-    bool elected = true;
-    for (std::size_t j = 0; j <= W; ++j)
-      if (!election_ok_scratch_[i * (W + 1) + j]) {
-        elected = false;
-        break;
-      }
+    const std::size_t first = oks[i].first_entry;
+    bool elected = election_ok_scratch_[next++] != 0;
+    for (std::size_t k = first; k < first + W; ++k)
+      if (!known_scratch_[k]) elected = election_ok_scratch_[next++] && elected;
     if (!elected) continue;
+    accept_scratch_[i] = 1;
     const Bytes& expected = echo_sign_bytes(oks[i].v);
-    for (std::size_t j = 0; j < W; ++j) {
-      const OkProofEntry& e = entries[oks[i].first_entry + j];
-      sig_scratch_.push_back(
-          crypto::SigBatchEntry{e.sender, BytesView(expected), e.signature});
+    for (std::size_t k = first; k < first + W; ++k) {
+      if (known_scratch_[k])
+        ++reused;
+      else
+        sig_scratch_.push_back(crypto::SigBatchEntry{
+            entries[k].sender, BytesView(expected), entries[k].signature});
     }
-    sig_ok_of_scratch_.push_back(i);
   }
   coin::BatchVerifier::FlushStats stats =
       cfg_.batcher->verify_signatures(sig_scratch_, verdict_scratch_);
-  for (std::size_t k = 0; k < sig_ok_of_scratch_.size(); ++k) {
-    bool all = true;
-    for (std::size_t j = 0; j < W; ++j)
-      if (!verdict_scratch_[k * W + j]) {
-        all = false;
-        break;
-      }
-    accept_scratch_[sig_ok_of_scratch_[k]] = all ? 1 : 0;
+  next = 0;
+  for (std::size_t i = 0; i < oks.size(); ++i) {
+    if (!accept_scratch_[i]) continue;
+    const std::size_t first = oks[i].first_entry;
+    for (std::size_t k = first; k < first + W; ++k)
+      if (!known_scratch_[k])
+        accept_scratch_[i] = verdict_scratch_[next++] && accept_scratch_[i];
   }
   ctx.count(sim::Counter::kSigVerifyFlushes, 1);
   ctx.count(sim::Counter::kSigVerifySigs, sig_scratch_.size());
   ctx.count(sim::Counter::kSigVerifyRejects, stats.rejects);
   ctx.count(sim::Counter::kSigVerifyMemoHits, stats.memo_hits);
+  ctx.count(sim::Counter::kOkEntriesReused, reused);
 
   // Apply survivors in arrival order with the same guards the inline
-  // path uses — bit-identical state evolution.
+  // path uses — bit-identical state evolution. An applied ok's buffer
+  // stays retained in applied_oks_, so its entries become known.
   for (std::size_t i = 0; i < oks.size(); ++i) {
     if (!accept_scratch_[i]) continue;
-    apply_ok(ctx, oks[i].sender, oks[i].v, oks[i].buf);
+    if (!apply_ok(ctx, oks[i].sender, oks[i].v, oks[i].buf)) continue;
+    for (std::size_t k = oks[i].first_entry; k < oks[i].first_entry + W; ++k)
+      if (!known_scratch_[k]) learn(oks[i].v, entries[k]);
   }
 }
 
@@ -348,31 +382,8 @@ std::optional<Value> Approver::verify_ok_payload(
   Value v;
   BytesView election;
   std::vector<OkProofEntry> entries;
-  try {
-    Reader r(payload);
-    v = r.u8();
-    election = r.blob_view();
-    std::uint32_t count = r.u32();
-    if (count != params.W) return std::nullopt;
-    entries.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      OkProofEntry e;
-      e.sender = r.u32();
-      e.signature = r.blob_view();
-      e.election_proof = r.blob_view();
-      entries.push_back(e);
-    }
-    r.done();
-  } catch (const CodecError&) {
-    return std::nullopt;
-  }
-  if (!is_valid_value(v)) return std::nullopt;
-
   std::vector<crypto::ProcessId> ids;
-  ids.reserve(entries.size());
-  for (const OkProofEntry& e : entries) ids.push_back(e.sender);
-  std::sort(ids.begin(), ids.end());
-  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end())
+  if (!parse_ok(payload, params.W, v, election, entries, ids))
     return std::nullopt;
 
   const std::string ok_seed = approver_tag + "/ok";

@@ -19,15 +19,16 @@
 // (Lemmas 6.2–6.4). Word complexity O(nλ²) — the λ² comes from the W
 // signatures inside each ok message.
 //
-// Hot-path notes (the ba_whp throughput tentpole): echo payload fields
-// are retained as SharedBytes aliases of the delivered buffer (never deep
-// copied), the <echo,v> signing strings are hoisted into members, all
-// per-value/per-sender tracking uses flat arrays and bitmaps, and — when
-// a coin::BatchVerifier is configured — the W-signature sweep of each
-// <ok> is deferred into a pending queue flushed at threshold/watermark,
-// where the run-wide signature memo collapses the n·W redundant HMAC checks to
-// ~W (every ok embeds the SAME signed echoes). Accept/reject sets and
-// all protocol state evolution are bit-identical to inline verification.
+// Hot-path notes: echo fields stay SharedBytes aliases of the delivered
+// buffer, the <echo,v> signing strings are hoisted members, and tracking
+// uses flat arrays and bitmaps. Every ok embeds the SAME W signed echoes,
+// so each replica keeps a (v, sender) table of the (signature, election
+// proof) pairs that passed both checks here, seeded from received echoes
+// and applied oks: a byte-equal ok entry is accepted with a compare, any
+// other bytes take the full path (both checks are pure, so verdicts
+// cannot change). With a coin::BatchVerifier the remaining checks are
+// deferred into a pending-ok queue whose survivors apply in arrival
+// order — state evolution is bit-identical to inline verification.
 #pragma once
 
 #include <array>
@@ -58,13 +59,13 @@ class Approver {
     std::shared_ptr<const crypto::KeyRegistry> registry;
     std::shared_ptr<const committee::Sampler> sampler;
     std::shared_ptr<const crypto::Signer> signer;
-    /// When set, the W+1 election proofs inside each <ok> message are
-    /// checked in one committee_val_batch call (folded multi-exp + memo),
-    /// the W HMAC echo signatures are deferred into a pending-ok queue
-    /// flushed through BatchVerifier::verify_signatures (memo-dedup'd
-    /// across ok messages and receivers), and echo signatures answer from
-    /// the same memo. Accept/reject verdicts are identical either way —
-    /// committee_val and HMAC verification are pure.
+    /// When set, <ok> messages wait in a pending-ok queue; a flush checks
+    /// every pending ok's election proofs in one committee_val_batch call
+    /// (folded multi-exp + memo) and its echo signatures in one
+    /// BatchVerifier::verify_signatures call, skipping entries already
+    /// known at this replica. Echo signatures answer from the same memo.
+    /// Accept/reject verdicts are identical either way — committee_val
+    /// and HMAC verification are pure.
     std::shared_ptr<coin::BatchVerifier> batcher;
   };
 
@@ -128,6 +129,14 @@ class Approver {
     BytesView election_proof;
   };
 
+  /// A proof entry that passed both of its checks at this replica; the
+  /// views point into a buffer echoes_ or applied_oks_ retains.
+  struct KnownEntry {
+    BytesView signature;
+    BytesView election_proof;
+    bool set = false;
+  };
+
   /// A decoded <ok> awaiting its deferred verification sweep. Its W
   /// proof entries live in pending_entries_[first_entry, first_entry+W).
   struct PendingOk {
@@ -155,8 +164,23 @@ class Approver {
   /// verbatim by the inline and deferred paths (arrival order + the same
   /// guards = bit-identical evolution). `buf` is the raw ok payload,
   /// retained in applied_oks_ for lock/certificate forwarding.
-  void apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
+  /// Returns whether the ok was applied (and its buffer retained).
+  bool apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
                 const SharedBytes& buf);
+
+  /// Decodes an <ok> payload into its value, sender election proof and W
+  /// entries (views into `payload`). False on a codec error, a wrong
+  /// arity, an invalid value or a repeated entry sender; `ids` is scratch.
+  static bool parse_ok(BytesView payload, std::size_t W, Value& v,
+                       BytesView& election,
+                       std::vector<OkProofEntry>& entries,
+                       std::vector<crypto::ProcessId>& ids);
+
+  /// True iff `e` is byte-equal to the pair known for (v, e.sender).
+  bool known(Value v, const OkProofEntry& e) const;
+  /// Records a pair that passed both checks; the first one per (v,
+  /// sender) stays. Senders >= n are never recorded.
+  void learn(Value v, const OkProofEntry& e);
 
   /// Deferred path: flush every pending ok through one election batch +
   /// one memoized signature batch, then apply survivors in arrival order.
@@ -198,6 +222,10 @@ class Approver {
   std::uint8_t ok_mask_ = 0;       // bit v set ⟺ v carried by a valid ok
   std::set<Value> ok_values_;      // materialized from ok_mask_ at done
 
+  // Accepted proof entries per value, indexed by sender (sized n on the
+  // value's first entry).
+  std::array<std::vector<KnownEntry>, 3> known_;
+
   // Deferred-verification queue (batcher only). pending_entries_ is the
   // flat arena of proof entries, W per pending ok.
   std::vector<PendingOk> pending_oks_;
@@ -215,7 +243,7 @@ class Approver {
   std::vector<char> election_ok_scratch_;
   std::vector<char> verdict_scratch_;
   std::vector<char> accept_scratch_;
-  std::vector<std::size_t> sig_ok_of_scratch_;
+  std::vector<char> known_scratch_;  // per flushed entry: known(v, e)
 
   bool done_ = false;
 };

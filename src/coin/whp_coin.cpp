@@ -150,7 +150,7 @@ void WhpCoin::flush_queue(sim::Context& ctx) {
   checks.reserve(shares.size());
   for (const PendingVerifyQueue::Share& s : shares)
     checks.push_back(committee::Sampler::ValCheck{
-        s.is_first ? &first_seed_ : &second_seed_, s.sender,
+        s.is_first ? first_seed_ : second_seed_, s.sender,
         s.election_proof});
   std::vector<char> election_ok;
   cfg_.batcher->verify_elections(checks, election_ok);

@@ -17,7 +17,7 @@ Sampler::Sampler(std::shared_ptr<const crypto::Vrf> vrf,
                "Sampler: lambda/n must be in (0, 1]");
 }
 
-Bytes Sampler::vrf_input(const std::string& seed) const {
+Bytes Sampler::vrf_input(std::string_view seed) const {
   Writer w;
   w.str("cmte").str(seed);
   return w.take();
@@ -73,7 +73,7 @@ void Sampler::committee_val_batch(std::span<const ValCheck> checks,
       continue;
     }
     if (value.size() < 8) continue;
-    inputs[i] = vrf_input(*c.seed);
+    inputs[i] = vrf_input(c.seed);
     values[i] = value;
     entries.push_back(crypto::VrfBatchEntry{registry_->pk_of(c.id), inputs[i],
                                             value, vrf_proof});
@@ -95,61 +95,23 @@ CachingSampler::CachingSampler(
     std::shared_ptr<const crypto::KeyRegistry> registry, double lambda_over_n)
     : Sampler(std::move(vrf), std::move(registry), lambda_over_n) {}
 
-CachingSampler::CacheKey CachingSampler::make_key(ProcessId i,
-                                                  const std::string& seed,
-                                                  BytesView proof) {
-  // FNV-1a over (id, seed, proof) — precomputed once so the table probe
-  // costs one integer compare before the final equality check.
-  std::uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](const unsigned char* data, std::size_t len) {
-    for (std::size_t b = 0; b < len; ++b) {
-      h ^= data[b];
-      h *= 1099511628211ull;
-    }
-  };
-  std::uint64_t id64 = static_cast<std::uint64_t>(i);
-  mix(reinterpret_cast<const unsigned char*>(&id64), sizeof(id64));
-  mix(reinterpret_cast<const unsigned char*>(seed.data()), seed.size());
-  mix(reinterpret_cast<const unsigned char*>(proof.data()), proof.size());
-  CacheKey key;
-  key.hash = h;
-  key.id = i;
-  key.seed = seed;
-  key.proof.assign(proof.begin(), proof.end());
-  return key;
-}
-
-Sampler::Election CachingSampler::sample(ProcessId i,
-                                         const std::string& seed) const {
-  CacheKey key = make_key(i, seed, {});
-  auto it = sample_cache_.find(key);
-  if (it != sample_cache_.end()) return it->second;
-  Election e = Sampler::sample(i, seed);
-  sample_cache_.emplace(std::move(key), e);
-  return e;
-}
-
 bool CachingSampler::committee_val(const std::string& seed, ProcessId i,
                                    BytesView proof) const {
-  CacheKey key = make_key(i, seed, proof);
-  auto it = val_cache_.find(key);
-  if (it != val_cache_.end()) return it->second;
-  bool ok = Sampler::committee_val(seed, i, proof);
-  val_cache_.emplace(std::move(key), ok);
+  const ValCheck key{seed, i, proof};
+  if (std::optional<bool> hit = memo_.lookup(key)) return *hit;
+  const bool ok = Sampler::committee_val(seed, i, proof);
+  memo_.store(key, ok);
   return ok;
 }
 
 void CachingSampler::committee_val_batch(std::span<const ValCheck> checks,
                                          std::vector<char>& out) const {
   out.assign(checks.size(), 0);
-  std::vector<CacheKey> keys(checks.size());
   std::vector<ValCheck> misses;
   std::vector<std::size_t> miss_of;  // misses[j] is checks[miss_of[j]]
   for (std::size_t i = 0; i < checks.size(); ++i) {
-    keys[i] = make_key(checks[i].id, *checks[i].seed, checks[i].proof);
-    auto it = val_cache_.find(keys[i]);
-    if (it != val_cache_.end()) {
-      out[i] = it->second ? 1 : 0;
+    if (std::optional<bool> hit = memo_.lookup(checks[i])) {
+      out[i] = *hit ? 1 : 0;
     } else {
       misses.push_back(checks[i]);
       miss_of.push_back(i);
@@ -159,10 +121,8 @@ void CachingSampler::committee_val_batch(std::span<const ValCheck> checks,
   std::vector<char> verdicts;
   Sampler::committee_val_batch(misses, verdicts);
   for (std::size_t j = 0; j < misses.size(); ++j) {
-    std::size_t i = miss_of[j];
-    out[i] = verdicts[j];
-    // A batch may carry the same tuple twice; emplace keeps the first.
-    val_cache_.emplace(std::move(keys[i]), verdicts[j] != 0);
+    out[miss_of[j]] = verdicts[j];
+    memo_.store(misses[j], verdicts[j] != 0);
   }
 }
 

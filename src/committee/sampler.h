@@ -13,12 +13,13 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "crypto/key_registry.h"
+#include "crypto/verdict_memo.h"
 #include "crypto/vrf.h"
 
 namespace coincidence::committee {
@@ -46,16 +47,12 @@ class Sampler {
   virtual bool committee_val(const std::string& seed, ProcessId i,
                              BytesView proof) const;
 
-  /// One committee-val check of a batch. `seed` is non-owning and must
-  /// outlive the committee_val_batch call.
-  struct ValCheck {
-    const std::string* seed = nullptr;
-    ProcessId id = 0;
-    BytesView proof;
-  };
+  /// One committee-val check of a batch. Its views must outlive the
+  /// committee_val_batch call.
+  using ValCheck = crypto::ElectionCheck;
 
   /// Batched committee-val: on return out[i] == committee_val(
-  /// *checks[i].seed, checks[i].id, checks[i].proof), out sized to match.
+  /// checks[i].seed, checks[i].id, checks[i].proof), out sized to match.
   /// All underlying VRF verifications fold into ONE Vrf::batch_verify
   /// call — a near-k-fold multi-exp amortization on the DDH backend.
   virtual void committee_val_batch(std::span<const ValCheck> checks,
@@ -64,64 +61,37 @@ class Sampler {
   double threshold() const { return lambda_over_n_; }
 
  private:
-  Bytes vrf_input(const std::string& seed) const;
+  Bytes vrf_input(std::string_view seed) const;
 
   std::shared_ptr<const crypto::Vrf> vrf_;
   std::shared_ptr<const crypto::KeyRegistry> registry_;
   double lambda_over_n_;
 };
 
-/// Memoizing decorator. VRF evaluation and proof verification are pure
-/// functions, so both directions cache perfectly; the approver's ok-proof
-/// validation (§6.1) re-verifies the same W elections for every one of
-/// the ~λ ok messages a process receives, which this collapses to one
-/// verification each — the standard verify-once optimization a real node
-/// would ship. Single-threaded by design, like the simulator.
+/// Memoizing decorator for committee-val. Proof verification is a pure
+/// function, so its verdicts cache perfectly: every receiver of a
+/// broadcast init, echo or coin share checks the same (id, seed, proof)
+/// election, which this collapses to one verification run-wide. The memo
+/// is a crypto::VerdictMemo keyed by views, so a lookup allocates
+/// nothing. Elections (sample) are not cached: each process computes its
+/// own once per seed. Single-threaded by design, like the simulator.
 class CachingSampler final : public Sampler {
  public:
   CachingSampler(std::shared_ptr<const crypto::Vrf> vrf,
                  std::shared_ptr<const crypto::KeyRegistry> registry,
                  double lambda_over_n);
 
-  Election sample(ProcessId i, const std::string& seed) const override;
   bool committee_val(const std::string& seed, ProcessId i,
                      BytesView proof) const override;
-  /// Probes the verdict cache per check and batches only the misses
-  /// (then caches their verdicts), so the approver's repeated ok-proof
-  /// validations still collapse to one verification each.
+  /// Probes the memo per check and batches only the misses (then stores
+  /// their verdicts).
   void committee_val_batch(std::span<const ValCheck> checks,
                            std::vector<char>& out) const override;
 
-  std::size_t sample_cache_size() const { return sample_cache_.size(); }
-  std::size_t val_cache_size() const { return val_cache_.size(); }
+  std::size_t val_cache_size() const { return memo_.size(); }
 
  private:
-  // Cache keys carry their FNV-1a hash, computed once at lookup: the
-  // unordered_map never re-walks the seed/proof bytes the way the old
-  // std::map did on every tree-node comparison (O(log n) string
-  // compares per hit → one hash + one final equality check).
-  struct CacheKey {
-    std::uint64_t hash = 0;
-    ProcessId id = 0;
-    std::string seed;
-    Bytes proof;  // empty for sample-cache keys
-
-    bool operator==(const CacheKey& o) const {
-      return hash == o.hash && id == o.id && seed == o.seed &&
-             proof == o.proof;
-    }
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const {
-      return static_cast<std::size_t>(k.hash);
-    }
-  };
-  static CacheKey make_key(ProcessId i, const std::string& seed,
-                           BytesView proof);
-
-  mutable std::unordered_map<CacheKey, Election, CacheKeyHash> sample_cache_;
-  // key: (seed, id, proof bytes) -> verdict.
-  mutable std::unordered_map<CacheKey, bool, CacheKeyHash> val_cache_;
+  mutable crypto::VerdictMemo memo_;
 };
 
 }  // namespace coincidence::committee

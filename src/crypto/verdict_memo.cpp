@@ -10,6 +10,14 @@ VerdictMemo::Key VerdictMemo::key_of(const SigBatchEntry& e) {
   return {signer, e.message, e.sig, BytesView()};
 }
 
+VerdictMemo::Key VerdictMemo::key_of(const ElectionCheck& e) {
+  const BytesView id(reinterpret_cast<const std::uint8_t*>(&e.id),
+                     sizeof e.id);
+  const BytesView seed(reinterpret_cast<const std::uint8_t*>(e.seed.data()),
+                       e.seed.size());
+  return {id, seed, e.proof, BytesView()};
+}
+
 // FNV-1a with a length marker before each field, so (message="ab",
 // sig="c") and (message="a", sig="bc") fingerprint differently.
 std::uint64_t VerdictMemo::fingerprint_key(const Key& key) {

@@ -1,13 +1,15 @@
-// Verdict memo: a result cache for VRF-proof and signature checks, keyed
-// by every byte the check covers — an FNV-1a fingerprint for the hash
-// table plus the full bytes for exact equality.
+// Verdict memo: a result cache for VRF-proof, signature and committee
+// election checks, keyed by every byte the check covers — an FNV-1a
+// fingerprint for the hash table plus the full bytes for exact equality.
 //
-// Two hot paths pay for it. Lossy links duplicate and replay coin shares
-// verbatim (see sim::NetworkProfile), so with deferred batch verification
-// every re-delivered (pk, input, value, proof) tuple is a dictionary hit
-// instead of another multi-exp. And every approver ⟨ok,v⟩ message embeds
-// the SAME W signed ⟨echo,v⟩ entries (§6.1), so the ~λ ok messages a
-// process receives would re-verify n·W HMACs that collapse to ~W misses.
+// Three hot paths pay for it. Lossy links duplicate and replay coin
+// shares verbatim (see sim::NetworkProfile), so with deferred batch
+// verification every re-delivered (pk, input, value, proof) tuple is a
+// dictionary hit instead of another multi-exp. Every receiver of a
+// broadcast ⟨echo,v⟩ checks the same (signer, message, sig) triple. And
+// every receiver of a broadcast init, echo or coin share checks the same
+// (id, seed, proof) election (committee::CachingSampler keeps one memo
+// for those).
 //
 // Negative verdicts are cached too: a forged share replayed n times costs
 // one verification. Because the key includes the proof or signature
@@ -19,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/bytes.h"
@@ -27,10 +30,18 @@
 
 namespace coincidence::crypto {
 
+/// One committee-val check (committee::Sampler::ValCheck), also its memo
+/// key. Views only: the caller keeps the seed and proof bytes alive.
+struct ElectionCheck {
+  std::string_view seed;
+  ProcessId id = 0;
+  BytesView proof;
+};
+
 class VerdictMemo {
  public:
-  /// The cached verdict for `e` (a VrfBatchEntry or SigBatchEntry), if
-  /// any. Counts a hit or miss.
+  /// The cached verdict for `e` (a VrfBatchEntry, SigBatchEntry or
+  /// ElectionCheck), if any. Counts a hit or miss.
   template <typename Entry>
   std::optional<bool> lookup(const Entry& e) const {
     return lookup_key(key_of(e));
@@ -64,6 +75,8 @@ class VerdictMemo {
   }
   /// The signer id's bytes, message, sig (the fourth field is empty).
   static Key key_of(const SigBatchEntry& e);
+  /// The id's bytes, seed, proof (the fourth field is empty).
+  static Key key_of(const ElectionCheck& e);
 
   // Fingerprint-keyed multimap with owned bytes only in the stored
   // entries: a lookup walks the (almost always singleton) fingerprint

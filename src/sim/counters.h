@@ -43,6 +43,7 @@ enum class Counter : std::uint8_t {
   kSigVerifySigs,
   kSigVerifyRejects,
   kSigVerifyMemoHits,
+  kOkEntriesReused,  // ok-proof entries accepted by byte compare
   // Erasure-coded dissemination (ba/rbc_ec.h).
   kRbcEncodes,
   kRbcFragmentsEncoded,
@@ -97,6 +98,7 @@ inline constexpr std::array<CounterInfo, kCounterCount> kCounterTable{{
     {Counter::kSigVerifySigs, "sig_verify_sigs", PromType::kCounter},
     {Counter::kSigVerifyRejects, "sig_verify_rejects", PromType::kCounter},
     {Counter::kSigVerifyMemoHits, "sig_verify_memo_hits", PromType::kCounter},
+    {Counter::kOkEntriesReused, "ok_entries_reused", PromType::kCounter},
     {Counter::kRbcEncodes, "rbc_encodes", PromType::kCounter},
     {Counter::kRbcFragmentsEncoded, "rbc_fragments_encoded",
      PromType::kCounter},

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "committee/params.h"
 #include "core/runner.h"
 
 namespace coincidence::core {
@@ -246,9 +247,18 @@ TEST(ChaosSafety, BaWhpDeferredSigVerdictsMatchInlineAcrossChaosSweep) {
     EXPECT_EQ(deferred.messages, direct.messages);
     EXPECT_EQ(deferred.duration, direct.duration);
     EXPECT_EQ(deferred.words_by_tag, direct.words_by_tag);
-    // The deferred run exercised the signature batch plane; the direct
-    // run never touched it.
-    EXPECT_GT(deferred.counters[Counter::kSigVerifySigs], 0u);
+    // The deferred run flushed its ok queues, and every entry of an ok
+    // that passed its elections was either swept through the signature
+    // batch or reused from the replica's table of accepted entries: W
+    // per such ok. The direct run never touched the batch plane.
+    const RunOptions& o = grid[2 * i];
+    const std::uint64_t W =
+        committee::Params::derive(o.n, o.epsilon, o.d, o.strict_params).W;
+    const std::uint64_t entries = deferred.counters[Counter::kSigVerifySigs] +
+                                  deferred.counters[Counter::kOkEntriesReused];
+    EXPECT_GT(deferred.counters[Counter::kSigVerifyFlushes], 0u);
+    EXPECT_GT(entries, 0u);
+    EXPECT_EQ(entries % W, 0u);
     EXPECT_EQ(direct.counters[Counter::kSigVerifySigs], 0u);
     // Conservation holds under chaos too.
     EXPECT_EQ(deferred.verify_enqueued,

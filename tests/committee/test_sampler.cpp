@@ -157,7 +157,7 @@ TEST(CachingSampler, AgreesWithPlainSamplerEverywhere) {
   Sampler plain(vrf, reg, 0.4);
   CachingSampler cached(vrf, reg, 0.4);
   for (ProcessId i = 0; i < 32; ++i) {
-    for (const char* seed : {"a", "b", "a"}) {  // repeat to hit the cache
+    for (const char* seed : {"a", "b", "a"}) {  // repeat to hit the memo
       auto p = plain.sample(i, seed);
       auto c = cached.sample(i, seed);
       EXPECT_EQ(p.sampled, c.sampled);
@@ -166,7 +166,6 @@ TEST(CachingSampler, AgreesWithPlainSamplerEverywhere) {
                 cached.committee_val(seed, i, c.proof));
     }
   }
-  EXPECT_EQ(cached.sample_cache_size(), 32u * 2u);  // "a" cached once
 }
 
 TEST(CachingSampler, CachesNegativeVerdictsToo) {

@@ -161,6 +161,30 @@ TEST_F(SigBatchTest, MemoKeysFieldBoundaries) {
       memo.lookup(SigBatchEntry{2, BytesView(m_ab), BytesView(s_c)}).has_value());
 }
 
+// Election keys (id, seed, proof) keep the same field discipline: a key
+// differing only in id, only in seed, or by a byte shifted across the
+// seed/proof boundary gets its own verdict.
+TEST(VerdictMemo, ElectionKeysSeparateIdSeedAndProof) {
+  VerdictMemo memo;
+  Bytes p_c = bytes_of("c"), p_bc = bytes_of("bc");
+  const ElectionCheck base{"ab", 1, BytesView(p_c)};
+  const ElectionCheck other_id{"ab", 2, BytesView(p_c)};
+  const ElectionCheck other_seed{"ax", 1, BytesView(p_c)};
+  const ElectionCheck shifted{"a", 1, BytesView(p_bc)};
+  memo.store(base, true);
+  EXPECT_FALSE(memo.lookup(other_id).has_value());
+  EXPECT_FALSE(memo.lookup(other_seed).has_value());
+  EXPECT_FALSE(memo.lookup(shifted).has_value());
+  memo.store(other_id, false);
+  memo.store(other_seed, false);
+  memo.store(shifted, false);
+  EXPECT_EQ(memo.size(), 4u);
+  EXPECT_TRUE(*memo.lookup(base));
+  EXPECT_FALSE(*memo.lookup(other_id));
+  EXPECT_FALSE(*memo.lookup(other_seed));
+  EXPECT_FALSE(*memo.lookup(shifted));
+}
+
 TEST_F(SigBatchTest, MemoRestoreOverwrites) {
   VerdictMemo memo;
   Bytes m = bytes_of("m");

@@ -184,6 +184,7 @@ TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
     m.add(Counter::kSigVerifySigs, 248);
     m.add(Counter::kSigVerifyRejects, 16);
     m.add(Counter::kSigVerifyMemoHits, 72);
+    m.add(Counter::kOkEntriesReused, 496);
     m.add(Counter::kRbcEncodes, 9);
     m.add(Counter::kRbcFragmentsEncoded, 117);
     m.add(Counter::kRbcDecodes, 12);
@@ -211,7 +212,8 @@ TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
       ",\"verify_shares\":203,\"verify_rejects\":21"
       ",\"verify_memo_hits\":35,\"sig_verify_flushes\":8"
       ",\"sig_verify_sigs\":248,\"sig_verify_rejects\":16"
-      ",\"sig_verify_memo_hits\":72,\"rbc_encodes\":9"
+      ",\"sig_verify_memo_hits\":72,\"ok_entries_reused\":496"
+      ",\"rbc_encodes\":9"
       ",\"rbc_fragments_encoded\":117,\"rbc_decodes\":12"
       ",\"rbc_fragments_decoded\":228,\"rbc_decode_failures\":11"
       ",\"partition_held\":13,\"partition_held_words\":299"
@@ -271,6 +273,8 @@ TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
       "coincidence_sig_verify_rejects_total 16\n"
       "# TYPE coincidence_sig_verify_memo_hits_total counter\n"
       "coincidence_sig_verify_memo_hits_total 72\n"
+      "# TYPE coincidence_ok_entries_reused_total counter\n"
+      "coincidence_ok_entries_reused_total 496\n"
       "# TYPE coincidence_rbc_encodes_total counter\n"
       "coincidence_rbc_encodes_total 9\n"
       "# TYPE coincidence_rbc_fragments_encoded_total counter\n"

@@ -310,14 +310,17 @@ int main(int argc, char** argv) {
             << c[Counter::kVerifyShares] << " shares, "
             << c[Counter::kVerifyRejects] << " rejects, "
             << c[Counter::kVerifyMemoHits] << " memo hits)\n";
-  // Same deal for the approver's deferred W-signature sweeps: zero words
-  // (the ok messages were already charged), pure verification compute.
-  // memo hit-rate is the run-wide dedup factor — every ok embeds the
-  // SAME W signed echoes, so hits/checks ≈ 1 - 1/n in a clean run.
+  // Same deal for the approver's deferred ok sweeps: zero words (the ok
+  // messages were already charged), pure verification compute. "reused"
+  // counts ok entries a replica accepted by byte compare against an
+  // entry it had already checked; memo hit-rate is the run-wide dedup of
+  // the remaining signature checks (mostly echoes, one triple reaching
+  // n receivers).
   if (c[Counter::kSigVerifyFlushes] + r.sig_checks > 0) {
     std::cout << "  sig-verify" << std::string(widest > 10 ? widest - 10 + 2 : 2, ' ')
               << 0 << "   (" << c[Counter::kSigVerifyFlushes]
               << " batches, " << c[Counter::kSigVerifySigs] << " sigs, "
+              << c[Counter::kOkEntriesReused] << " reused, "
               << c[Counter::kSigVerifyRejects] << " rejects";
     if (r.sig_checks > 0)
       std::cout << ", memo hit-rate "
