@@ -56,14 +56,6 @@ Approver::Approver(Config cfg, Value input, DoneFn on_done)
   distinct_scratch_.reserve(cfg_.params.W);
 }
 
-Approver::~Approver() {
-  // Round end / teardown: a retired approver drops its pending oks
-  // unverified — its host already moved on. The ledger (enqueued ==
-  // flushed + discarded) must still balance.
-  if (cfg_.batcher && !pending_oks_.empty())
-    cfg_.batcher->note_discarded(pending_oks_.size());
-}
-
 void Approver::start(sim::Context& ctx) {
   auto init = cfg_.sampler->sample(ctx.self(), init_seed());
   auto ok = cfg_.sampler->sample(ctx.self(), ok_seed());
@@ -131,15 +123,7 @@ bool Approver::handle_echo(sim::Context& ctx, const sim::Message& msg) {
   if (!is_valid_value(v)) return true;
   if (!cfg_.sampler->committee_val(echo_seed(v), msg.from, election))
     return true;
-  // The signature check answers from the run-wide signature memo when a batcher
-  // is shared: a broadcast ⟨echo,v⟩ reaches n receivers but its HMAC is
-  // recomputed once. Verdicts are identical to Signer::verify.
-  const crypto::SigBatchEntry entry{msg.from, BytesView(echo_sign_bytes(v)),
-                                    sig};
-  const bool sig_ok =
-      cfg_.batcher ? cfg_.batcher->check_signature(entry)
-                   : cfg_.signer->verify(msg.from, entry.message, sig);
-  if (!sig_ok) return true;
+  if (!check_echo_signature(msg.from, v, sig)) return true;
   if (!echo_seen_[v].insert(msg.from)) return true;
   // Retain the delivered buffer by refcount; signature and election stay
   // views into it — no deep copy (the old code copied both blobs).
@@ -209,40 +193,34 @@ void Approver::learn(Value v, const OkProofEntry& e) {
   if (!k.set) k = {e.signature, e.election_proof, true};
 }
 
+bool Approver::check_echo_signature(crypto::ProcessId signer, Value v,
+                                    BytesView sig, bool* memo_hit) const {
+  // A shared batcher answers from the run-wide signature memo: a
+  // broadcast <echo,v> reaches n receivers but its HMAC is recomputed
+  // once. Verdicts are identical to Signer::verify.
+  const BytesView message(echo_sign_bytes(v));
+  if (cfg_.batcher)
+    return cfg_.batcher->check_signature({signer, message, sig}, memo_hit);
+  return cfg_.signer->verify(signer, message, sig);
+}
+
 bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
-  if (done_) return true;
+  // A sender already counted for the phase cannot be counted again, so
+  // its repeat is dropped before any check (checking it first would end
+  // in the same rejection).
+  if (done_ || ok_seen_.contains(msg.from)) return true;
   Value v;
   BytesView election;
   // Proof entries borrow from the message buffer; nothing is copied. The
   // distinct-sender filter is the only stateless check cheaper than a
-  // verification, so it runs first in both paths.
+  // verification, so it runs first.
   if (!parse_ok(msg.payload, cfg_.params.W, v, election, parse_scratch_,
                 distinct_scratch_))
     return true;
 
-  if (cfg_.batcher) {
-    // Deferred path. Senders already counted for the phase drop here
-    // (inline: verify then fail the seen check, no state change); senders
-    // with only PENDING oks must still enqueue — their queued ok might
-    // fail verification where this one passes.
-    if (ok_seen_.contains(msg.from)) return true;
-    PendingOk ok;
-    ok.buf = msg.payload;  // refcount bump keeps every view alive
-    ok.sender = msg.from;
-    ok.v = v;
-    ok.election = election;
-    ok.first_entry = pending_entries_.size();
-    pending_entries_.insert(pending_entries_.end(), parse_scratch_.begin(),
-                            parse_scratch_.end());
-    pending_oks_.push_back(std::move(ok));
-    cfg_.batcher->note_enqueued();
-    if (should_flush()) flush_ok_queue(ctx);
-    return true;
-  }
-
-  // Inline path: the sender's ok election, the W embedded echo elections,
-  // then the W signatures, stopping at the first failure. A known entry
-  // skips both of its checks.
+  // The sender's ok election, the W embedded echo elections, then the W
+  // signatures, stopping at the first failure. A known entry skips both
+  // of its checks.
   if (!cfg_.sampler->committee_val(ok_seed(), msg.from, election))
     return true;
   std::size_t reused = 0;
@@ -254,21 +232,28 @@ bool Approver::handle_ok(sim::Context& ctx, const sim::Message& msg) {
       return true;
   }
   ctx.count(sim::Counter::kOkEntriesReused, reused);
-  const Bytes& expected = echo_sign_bytes(v);
-  for (const OkProofEntry& e : parse_scratch_)
-    if (!known(v, e) && !cfg_.signer->verify(e.sender, expected, e.signature))
-      return true;
+  std::size_t sigs = 0, memo_hits = 0;
+  bool sigs_ok = true;
+  for (const OkProofEntry& e : parse_scratch_) {
+    if (known(v, e)) continue;
+    bool memo_hit = false;
+    sigs_ok = check_echo_signature(e.sender, v, e.signature, &memo_hit);
+    ++sigs;
+    memo_hits += memo_hit;
+    if (!sigs_ok) break;
+  }
+  if (sigs > 0) {
+    ctx.count(sim::Counter::kSigVerifySigs, sigs);
+    ctx.count(sim::Counter::kSigVerifyMemoHits, memo_hits);
+    ctx.count(sim::Counter::kSigVerifyRejects, sigs_ok ? 0 : 1);
+  }
+  if (!sigs_ok) return true;
 
-  if (apply_ok(ctx, msg.from, v, msg.payload))
-    for (const OkProofEntry& e : parse_scratch_) learn(v, e);
-  return true;
-}
-
-bool Approver::apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
-                        const SharedBytes& buf) {
-  if (done_) return false;  // state no-op (deferred flush past the threshold)
-  if (!ok_seen_.insert(sender)) return false;
-  applied_oks_.push_back({sender, v, buf});
+  // Count the ok (the guard above makes the sender new) and retain its
+  // buffer for lock/certificate forwarding; its entries become known.
+  ok_seen_.insert(msg.from);
+  applied_oks_.push_back({msg.from, v, msg.payload});
+  for (const OkProofEntry& e : parse_scratch_) learn(v, e);
   ok_mask_ |= static_cast<std::uint8_t>(1u << v);
   if (ok_seen_.size() == cfg_.params.W) {
     done_ = true;
@@ -283,96 +268,6 @@ bool Approver::apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
     if (on_done_) on_done_(ok_values_);
   }
   return true;
-}
-
-bool Approver::should_flush() const {
-  // Candidate threshold (see verify_queue.h): if the pending oks could
-  // carry the count across W, flush now so done fires in this delivery
-  // frame, like inline verification.
-  if (!done_ && ok_seen_.size() + pending_oks_.size() >= cfg_.params.W)
-    return true;
-  return pending_oks_.size() >= cfg_.batcher->watermark();
-}
-
-void Approver::flush_ok_queue(sim::Context& ctx) {
-  // Swap (not move) so both the pending queue and the flush scratch keep
-  // their capacity across flushes.
-  flush_oks_.clear();
-  flush_entries_.clear();
-  std::swap(flush_oks_, pending_oks_);
-  std::swap(flush_entries_, pending_entries_);
-  const std::vector<PendingOk>& oks = flush_oks_;
-  const std::vector<OkProofEntry>& entries = flush_entries_;
-  cfg_.batcher->note_flushed(oks.size());
-
-  const std::size_t W = cfg_.params.W;
-
-  // One folded election batch: each ok's sender election plus the
-  // elections of its entries this replica has not accepted before (a
-  // known entry skips both of its checks). Inline would stop at the
-  // first failure; verifying the rest anyway changes no verdict
-  // (committee_val is pure), only memo population.
-  known_scratch_.resize(entries.size());
-  check_scratch_.clear();
-  for (const PendingOk& ok : oks) {
-    check_scratch_.push_back(
-        committee::Sampler::ValCheck{ok_seed(), ok.sender, ok.election});
-    for (std::size_t k = ok.first_entry; k < ok.first_entry + W; ++k) {
-      known_scratch_[k] = known(ok.v, entries[k]);
-      if (!known_scratch_[k])
-        check_scratch_.push_back(committee::Sampler::ValCheck{
-            echo_seed(ok.v), entries[k].sender, entries[k].election_proof});
-    }
-  }
-  cfg_.batcher->verify_elections(check_scratch_, election_ok_scratch_);
-
-  // Signatures of the unknown entries enter the batch only for oks whose
-  // elections all passed, matching the inline short-circuit (elections
-  // before signatures). Verdicts are consumed in push order.
-  accept_scratch_.assign(oks.size(), 0);
-  sig_scratch_.clear();
-  std::size_t next = 0, reused = 0;
-  for (std::size_t i = 0; i < oks.size(); ++i) {
-    const std::size_t first = oks[i].first_entry;
-    bool elected = election_ok_scratch_[next++] != 0;
-    for (std::size_t k = first; k < first + W; ++k)
-      if (!known_scratch_[k]) elected = election_ok_scratch_[next++] && elected;
-    if (!elected) continue;
-    accept_scratch_[i] = 1;
-    const Bytes& expected = echo_sign_bytes(oks[i].v);
-    for (std::size_t k = first; k < first + W; ++k) {
-      if (known_scratch_[k])
-        ++reused;
-      else
-        sig_scratch_.push_back(crypto::SigBatchEntry{
-            entries[k].sender, BytesView(expected), entries[k].signature});
-    }
-  }
-  coin::BatchVerifier::FlushStats stats =
-      cfg_.batcher->verify_signatures(sig_scratch_, verdict_scratch_);
-  next = 0;
-  for (std::size_t i = 0; i < oks.size(); ++i) {
-    if (!accept_scratch_[i]) continue;
-    const std::size_t first = oks[i].first_entry;
-    for (std::size_t k = first; k < first + W; ++k)
-      if (!known_scratch_[k])
-        accept_scratch_[i] = verdict_scratch_[next++] && accept_scratch_[i];
-  }
-  ctx.count(sim::Counter::kSigVerifyFlushes, 1);
-  ctx.count(sim::Counter::kSigVerifySigs, sig_scratch_.size());
-  ctx.count(sim::Counter::kSigVerifyRejects, stats.rejects);
-  ctx.count(sim::Counter::kSigVerifyMemoHits, stats.memo_hits);
-  ctx.count(sim::Counter::kOkEntriesReused, reused);
-
-  // Apply survivors in arrival order with the same guards the inline
-  // path uses — bit-identical state evolution. An applied ok's buffer
-  // stays retained in applied_oks_, so its entries become known.
-  for (std::size_t i = 0; i < oks.size(); ++i) {
-    if (!accept_scratch_[i]) continue;
-    if (!apply_ok(ctx, oks[i].sender, oks[i].v, oks[i].buf)) continue;
-    for (std::size_t k = oks[i].first_entry; k < oks[i].first_entry + W; ++k)
-      if (!known_scratch_[k]) learn(oks[i].v, entries[k]);
-  }
 }
 
 std::optional<Value> Approver::verify_ok_payload(

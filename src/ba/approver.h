@@ -26,9 +26,9 @@
 // proof) pairs that passed both checks here, seeded from received echoes
 // and applied oks: a byte-equal ok entry is accepted with a compare, any
 // other bytes take the full path (both checks are pure, so verdicts
-// cannot change). With a coin::BatchVerifier the remaining checks are
-// deferred into a pending-ok queue whose survivors apply in arrival
-// order — state evolution is bit-identical to inline verification.
+// cannot change). Every <ok> is checked on arrival; with a
+// coin::BatchVerifier its signature checks answer from the run-wide
+// signature memo.
 #pragma once
 
 #include <array>
@@ -59,13 +59,10 @@ class Approver {
     std::shared_ptr<const crypto::KeyRegistry> registry;
     std::shared_ptr<const committee::Sampler> sampler;
     std::shared_ptr<const crypto::Signer> signer;
-    /// When set, <ok> messages wait in a pending-ok queue; a flush checks
-    /// every pending ok's election proofs in one committee_val_batch call
-    /// (folded multi-exp + memo) and its echo signatures in one
-    /// BatchVerifier::verify_signatures call, skipping entries already
-    /// known at this replica. Echo signatures answer from the same memo.
-    /// Accept/reject verdicts are identical either way — committee_val
-    /// and HMAC verification are pure.
+    /// When set, echo and ok-entry signatures answer from its run-wide
+    /// signature memo (BatchVerifier::check_signature); otherwise they
+    /// go to the signer. Verdicts are identical either way — HMAC
+    /// verification is pure.
     std::shared_ptr<coin::BatchVerifier> batcher;
   };
 
@@ -83,7 +80,6 @@ class Approver {
 
   /// `input` is this process's approve() argument (0, 1 or ⊥).
   Approver(Config cfg, Value input, DoneFn on_done = {});
-  ~Approver();
 
   void start(sim::Context& ctx);
   bool handle(sim::Context& ctx, const sim::Message& msg);
@@ -95,7 +91,7 @@ class Approver {
   const std::vector<AppliedOk>& applied_oks() const { return applied_oks_; }
 
   /// Stateless re-verification of a forwarded <ok> payload, exactly the
-  /// inline path of handle_ok: parse, W distinct embedded senders, the
+  /// full path of handle_ok: parse, W distinct embedded senders, the
   /// sender's ok election, the W echo elections, the W echo signatures.
   /// `approver_tag` names the instance the ok claims to come from (its
   /// committee-seed root, e.g. "slot7/0/a2"); `sender` is the claimed ok
@@ -110,7 +106,6 @@ class Approver {
   bool in_init_committee() const { return in_init_; }
   bool in_ok_committee() const { return in_ok_; }
   bool sent_ok() const { return sent_ok_; }
-  std::size_t pending_oks() const { return pending_oks_.size(); }
 
  private:
   /// A collected signed echo. `buf` aliases the delivered message buffer
@@ -137,16 +132,6 @@ class Approver {
     bool set = false;
   };
 
-  /// A decoded <ok> awaiting its deferred verification sweep. Its W
-  /// proof entries live in pending_entries_[first_entry, first_entry+W).
-  struct PendingOk {
-    SharedBytes buf;  // keeps every view alive
-    crypto::ProcessId sender = 0;
-    Value v = kZero;
-    BytesView election;
-    std::size_t first_entry = 0;
-  };
-
   const std::string& init_seed() const { return init_seed_; }
   const std::string& echo_seed(Value v) const { return echo_seeds_[v]; }
   const std::string& ok_seed() const { return ok_seed_; }
@@ -159,14 +144,6 @@ class Approver {
   bool handle_init(sim::Context& ctx, const sim::Message& msg);
   bool handle_echo(sim::Context& ctx, const sim::Message& msg);
   bool handle_ok(sim::Context& ctx, const sim::Message& msg);
-
-  /// The state transition of one verified <ok,v> from `sender` — shared
-  /// verbatim by the inline and deferred paths (arrival order + the same
-  /// guards = bit-identical evolution). `buf` is the raw ok payload,
-  /// retained in applied_oks_ for lock/certificate forwarding.
-  /// Returns whether the ok was applied (and its buffer retained).
-  bool apply_ok(sim::Context& ctx, crypto::ProcessId sender, Value v,
-                const SharedBytes& buf);
 
   /// Decodes an <ok> payload into its value, sender election proof and W
   /// entries (views into `payload`). False on a codec error, a wrong
@@ -182,10 +159,12 @@ class Approver {
   /// sender) stays. Senders >= n are never recorded.
   void learn(Value v, const OkProofEntry& e);
 
-  /// Deferred path: flush every pending ok through one election batch +
-  /// one memoized signature batch, then apply survivors in arrival order.
-  void flush_ok_queue(sim::Context& ctx);
-  bool should_flush() const;
+  /// `signer`'s <echo,v> signature check, through the batcher's memo
+  /// when one is configured (`memo_hit`, if given, reports whether the
+  /// memo answered). The one signature path of echoes and of ok entries
+  /// not in the table.
+  bool check_echo_signature(crypto::ProcessId signer, Value v, BytesView sig,
+                            bool* memo_hit = nullptr) const;
 
   Config cfg_;
   Value input_;
@@ -226,24 +205,9 @@ class Approver {
   // value's first entry).
   std::array<std::vector<KnownEntry>, 3> known_;
 
-  // Deferred-verification queue (batcher only). pending_entries_ is the
-  // flat arena of proof entries, W per pending ok.
-  std::vector<PendingOk> pending_oks_;
-  std::vector<OkProofEntry> pending_entries_;
-
-  // Reused scratch (capacity persists across messages and flushes — the
-  // last avoidable allocations on the ok path). flush_oks_/flush_entries_
-  // swap with the pending queue so both sides keep their capacity.
+  // Reused parse scratch (capacity persists across messages).
   std::vector<OkProofEntry> parse_scratch_;
   std::vector<crypto::ProcessId> distinct_scratch_;
-  std::vector<PendingOk> flush_oks_;
-  std::vector<OkProofEntry> flush_entries_;
-  std::vector<committee::Sampler::ValCheck> check_scratch_;
-  std::vector<crypto::SigBatchEntry> sig_scratch_;
-  std::vector<char> election_ok_scratch_;
-  std::vector<char> verdict_scratch_;
-  std::vector<char> accept_scratch_;
-  std::vector<char> known_scratch_;  // per flushed entry: known(v, e)
 
   bool done_ = false;
 };

@@ -12,7 +12,7 @@ namespace {
 constexpr std::string_view kSnapshotKind = "ba-whp";
 constexpr std::uint32_t kSnapshotVersion = 1;
 // Bound on verifications of forwarded skip-req locks per round: a lock
-// costs a full ok-proof sweep, so Byzantine-crafted junk locks must not
+// costs a full ok-proof check, so Byzantine-crafted junk locks must not
 // turn every skip-req into W signature checks.
 constexpr std::uint32_t kMaxLockChecks = 4;
 // Word accounting for the fallback plane. A bare skip-req is one word; a

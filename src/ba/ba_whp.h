@@ -61,8 +61,8 @@ class BaWhp final : public BaProcess {
     std::shared_ptr<const committee::Sampler> sampler;
     std::shared_ptr<const crypto::Signer> signer;
     /// When set, forwarded to every sub-instance: WhpCoin rounds defer
-    /// share verification to batched flushes and Approver <ok> proofs
-    /// verify their W+1 elections in one folded call (verify_queue.h).
+    /// share verification to batched flushes (verify_queue.h) and
+    /// Approver signature checks answer from its run-wide signature memo.
     /// Protocol-visible behaviour is bit-identical either way.
     std::shared_ptr<coin::BatchVerifier> batcher;
     /// Stop starting new rounds beyond this bound (whp-failure guard; the

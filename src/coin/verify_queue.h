@@ -38,20 +38,20 @@
 namespace coincidence::coin {
 
 /// Shared, per-Env verification service: memoized + batched VRF share
-/// checks and batched committee-election checks. One instance is shared
-/// by every process of a run (the simulator delivers one message at a
-/// time, so unsynchronized shared state is safe — same contract as
-/// CachingSampler), which lets the memo dedup identical tuples across
-/// receivers: a share broadcast to n processes verifies once, not n
-/// times.
+/// checks, batched committee-election checks and memoized signature
+/// checks. One instance is shared by every process of a run (the
+/// simulator delivers one message at a time, so unsynchronized shared
+/// state is safe — same contract as CachingSampler), which lets the memo
+/// dedup identical tuples across receivers: a share broadcast to n
+/// processes verifies once, not n times.
 class BatchVerifier {
  public:
   struct Config {
     std::shared_ptr<const crypto::Vrf> vrf;  // required
     /// Needed only by callers that defer election checks (whp coin).
     std::shared_ptr<const committee::Sampler> sampler;
-    /// Needed only by callers that defer HMAC signature checks (the
-    /// approver's ok-proof sweep).
+    /// Needed only by callers of check_signature (the approver's echo
+    /// and ok-entry signature checks).
     std::shared_ptr<const crypto::Signer> signer;
     /// Pending shares that force a queue flush.
     std::size_t watermark = 16;
@@ -81,19 +81,11 @@ class BatchVerifier {
   void verify_elections(std::span<const committee::Sampler::ValCheck> checks,
                         std::vector<char>& out);
 
-  /// Verifies every signature entry: memo first, then ONE
-  /// Signer::batch_verify over the distinct misses (identical triples
-  /// within the flush verify once and fan the verdict out), memo filled
-  /// in entry order. out[i] is exactly what Signer::verify would return
-  /// for entries[i]. Requires a signer in the config.
-  FlushStats verify_signatures(std::span<const crypto::SigBatchEntry> entries,
-                               std::vector<char>& out);
-
-  /// One memoized signature check — the echo fast path: a broadcast
-  /// ⟨echo,v⟩ reaches n receivers who all share this verifier, so the
-  /// same (signer, message, sig) triple verifies once run-wide. Verdict
-  /// identical to Signer::verify. `memo_hit` (optional) reports whether
-  /// the memo answered.
+  /// One memoized signature check — the approver's signature path: a
+  /// broadcast ⟨echo,v⟩ reaches n receivers who all share this verifier,
+  /// so the same (signer, message, sig) triple verifies once run-wide.
+  /// Verdict identical to Signer::verify. `memo_hit` (optional) reports
+  /// whether the memo answered.
   bool check_signature(const crypto::SigBatchEntry& entry,
                        bool* memo_hit = nullptr);
 
@@ -106,8 +98,7 @@ class BatchVerifier {
   std::uint64_t shares() const { return shares_; }
   std::uint64_t rejects() const { return rejects_; }
 
-  /// Signature-path counters (verify_signatures + check_signature).
-  std::uint64_t sig_batches() const { return sig_batches_; }
+  /// Signature-path counters (check_signature).
   std::uint64_t sig_checks() const { return sig_checks_; }
   std::uint64_t sig_rejects() const { return sig_rejects_; }
 
@@ -133,7 +124,6 @@ class BatchVerifier {
   std::uint64_t batches_ = 0;
   std::uint64_t shares_ = 0;
   std::uint64_t rejects_ = 0;
-  std::uint64_t sig_batches_ = 0;
   std::uint64_t sig_checks_ = 0;
   std::uint64_t sig_rejects_ = 0;
   std::uint64_t enqueued_ = 0;

@@ -88,7 +88,7 @@ class CachingSampler final : public Sampler {
   void committee_val_batch(std::span<const ValCheck> checks,
                            std::vector<char>& out) const override;
 
-  std::size_t val_cache_size() const { return memo_.size(); }
+  const crypto::VerdictMemo& memo() const { return memo_; }
 
  private:
   mutable crypto::VerdictMemo memo_;

@@ -103,10 +103,11 @@ struct RunOptions {
 
   /// Routes coin-share and election-proof checks through the Env's
   /// BatchVerifier (deferred queues + folded batch verification,
-  /// coin/verify_queue.h) instead of inline per-message verification.
-  /// Decisions, sends and metrics words are bit-identical either way;
-  /// only the verify_* counters (and wall-clock) differ. Applies to the
-  /// VRF-backed protocols (kBaWhp, kMmrWhpCoin, kMmrSharedCoin).
+  /// coin/verify_queue.h) instead of inline per-message verification,
+  /// and gives the approvers its signature memo. Decisions, sends and
+  /// metrics words are bit-identical either way; only the verify_*
+  /// counters, sig_verify_memo_hits (and wall-clock) differ. Applies to
+  /// the VRF-backed protocols (kBaWhp, kMmrWhpCoin, kMmrSharedCoin).
   bool defer_verify = true;
 
   std::uint64_t max_rounds = 64;
@@ -158,13 +159,14 @@ struct RunReport {
   std::size_t protocol_f = 0;  // the f the protocol was configured with
 
   /// The run's Metrics counters (sim/counters.h): link faults, dead
-  /// letters, verify and signature sweeps, RBC coding and chaos events.
+  /// letters, coin verify flushes, approver ok-entry checks, RBC coding
+  /// and chaos events.
   /// Each is zero when its mechanism is off; a rejected share or a
   /// failed decode was discarded without entering protocol state.
   sim::CounterValues counters;
-  // Checks routed through the shared BatchVerifier (flush batches plus
-  // memoized echo singles); sig_memo_hits / sig_checks is the cross-
-  // receiver dedup factor.
+  // Signature checks routed through the shared BatchVerifier (the
+  // approvers' echoes and ok entries not in their tables);
+  // sig_memo_hits / sig_checks is the cross-receiver dedup factor.
   std::uint64_t sig_checks = 0;
   std::uint64_t sig_memo_hits = 0;
   // BatchVerifier queue ledger, read after every coin has retired. The

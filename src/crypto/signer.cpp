@@ -1,7 +1,5 @@
 #include "crypto/signer.h"
 
-#include <cstring>
-
 #include "common/errors.h"
 #include "crypto/hmac.h"
 
@@ -22,36 +20,6 @@ bool Signer::verify(ProcessId id, BytesView message, BytesView sig) const {
   Bytes tagged = concat({bytes_of("sig"), message});
   Digest expect = hmac_sha256(registry_->sk_of(id), tagged);
   return ct_equal(BytesView(expect.data(), expect.size()), sig);
-}
-
-void Signer::batch_verify(std::span<const SigBatchEntry> entries,
-                          std::vector<char>& out) const {
-  out.assign(entries.size(), 0);
-  Bytes tagged;
-  bool tagged_valid = false;
-  BytesView tagged_for;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const SigBatchEntry& e = entries[i];
-    if (!registry_->has(e.signer)) continue;
-    // Re-tag only when the message changes; equal-pointer or equal-bytes
-    // both qualify (the fast pointer test catches the hoisted-member
-    // case, the byte test catches re-encoded duplicates).
-    const bool same =
-        tagged_valid &&
-        (tagged_for.data() == e.message.data()
-             ? tagged_for.size() == e.message.size()
-             : tagged_for.size() == e.message.size() &&
-                   std::memcmp(tagged_for.data(), e.message.data(),
-                               e.message.size()) == 0);
-    if (!same) {
-      tagged = concat({bytes_of("sig"), e.message});
-      tagged_for = e.message;
-      tagged_valid = true;
-    }
-    Digest expect = hmac_sha256(registry_->sk_of(e.signer), tagged);
-    out[i] =
-        ct_equal(BytesView(expect.data(), expect.size()), e.sig) ? 1 : 0;
-  }
 }
 
 }  // namespace coincidence::crypto

@@ -8,16 +8,15 @@
 #pragma once
 
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "crypto/key_registry.h"
 
 namespace coincidence::crypto {
 
-/// One (signer, message, sig) triple of a batch verification. Views must
-/// outlive the batch_verify call; they typically point into retained
-/// wire buffers (the approver's ok-proof entries) or hoisted members.
+/// One (signer, message, sig) triple: the key of a signature verdict
+/// memo (crypto::VerdictMemo, coin::BatchVerifier::check_signature). The
+/// views typically point into retained wire buffers (the approver's echo
+/// and ok-proof entries) or hoisted members.
 struct SigBatchEntry {
   ProcessId signer = 0;
   BytesView message;
@@ -33,17 +32,6 @@ class Signer {
 
   /// True iff `sig` is `id`'s signature over `message`.
   bool verify(ProcessId id, BytesView message, BytesView sig) const;
-
-  /// Verifies a whole batch: on return out[i] == verify(entries[i]...)
-  /// for every i, and out.size() == entries.size(). HMAC recomputation
-  /// does not fold the way a multi-exp does, so the amortization here is
-  /// structural: the domain-separation prefix is re-tagged only when the
-  /// message changes between consecutive entries (the approver's W-entry
-  /// sweep signs ONE message), and all verification runs against stack
-  /// digests — no per-entry heap traffic. Callers wanting cross-batch
-  /// dedup wrap this with a VerdictMemo (see coin::BatchVerifier).
-  void batch_verify(std::span<const SigBatchEntry> entries,
-                    std::vector<char>& out) const;
 
   /// Wire size of one signature (one "word" in the paper's accounting).
   static constexpr std::size_t kSignatureSize = 32;

@@ -53,15 +53,6 @@ class VerdictMemo {
     store_key(key_of(e), ok);
   }
 
-  /// The table fingerprint of `e` — exposed so batch callers can dedup
-  /// identical entries WITHIN one flush before they reach the verifier
-  /// (the memo itself only collapses repeats across flushes: lookups all
-  /// happen before any store).
-  template <typename Entry>
-  static std::uint64_t fingerprint(const Entry& e) {
-    return fingerprint_key(key_of(e));
-  }
-
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::size_t size() const { return memo_.size(); }

@@ -38,8 +38,7 @@ enum class Counter : std::uint8_t {
   kVerifyShares,
   kVerifyRejects,
   kVerifyMemoHits,
-  // Deferred signature verification (the approver's ok-proof sweep).
-  kSigVerifyFlushes,
+  // Ok-proof entry signatures the approver checked (entries not reused).
   kSigVerifySigs,
   kSigVerifyRejects,
   kSigVerifyMemoHits,
@@ -94,7 +93,6 @@ inline constexpr std::array<CounterInfo, kCounterCount> kCounterTable{{
     {Counter::kVerifyShares, "verify_shares", PromType::kCounter},
     {Counter::kVerifyRejects, "verify_rejects", PromType::kCounter},
     {Counter::kVerifyMemoHits, "verify_memo_hits", PromType::kCounter},
-    {Counter::kSigVerifyFlushes, "sig_verify_flushes", PromType::kCounter},
     {Counter::kSigVerifySigs, "sig_verify_sigs", PromType::kCounter},
     {Counter::kSigVerifyRejects, "sig_verify_rejects", PromType::kCounter},
     {Counter::kSigVerifyMemoHits, "sig_verify_memo_hits", PromType::kCounter},

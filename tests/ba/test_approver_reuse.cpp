@@ -1,8 +1,10 @@
 // Per-replica ok-entry reuse: an <ok> proof entry byte-equal to a pair
 // that already passed both checks at this replica is accepted without a
-// check; every other entry takes the full path. These tests drive one
-// receiving approver directly, message by message, so the order of
-// echoes and oks is exactly what an adversarial scheduler would pick.
+// check; every other entry takes the full path, its signature checked
+// through the shared signature memo or, without one, by the signer. These
+// tests drive one receiving approver directly, message by message, so the
+// order of echoes and oks is exactly what an adversarial scheduler would
+// pick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,9 +56,11 @@ struct ReuseFixture {
       : params(committee::Params::derive(kN, 0.25, 0.02, /*strict=*/false)),
         registry(crypto::KeyRegistry::create_for(kN, 31)),
         vrf(std::make_shared<crypto::FastVrf>(registry)),
-        sampler(std::make_shared<committee::Sampler>(vrf, registry,
-                                                     params.sample_prob())),
-        signer(std::make_shared<crypto::Signer>(registry)) {
+        sampler(std::make_shared<committee::CachingSampler>(
+            vrf, registry, params.sample_prob())),
+        signer(std::make_shared<crypto::Signer>(registry)),
+        batcher(std::make_shared<coin::BatchVerifier>(
+            coin::BatchVerifier::Config{vrf, sampler, signer})) {
     Writer sign_bytes;
     sign_bytes.str("apv").str("echo").u8(kV);
     for (crypto::ProcessId i = 0; i < kN; ++i) {
@@ -67,21 +71,16 @@ struct ReuseFixture {
     }
   }
 
-  /// One receiver; deferred through a BatchVerifier flushing at
-  /// `watermark` pending oks, or inline when `deferred` is false.
-  Approver make_receiver(bool deferred, std::size_t watermark = 16) {
+  /// One receiver; its signature checks go through the fixture's shared
+  /// BatchVerifier memo when `memo` is set, else to the signer.
+  Approver make_receiver(bool memo) {
     Approver::Config cfg;
     cfg.tag = "apv";
     cfg.params = params;
     cfg.registry = registry;
     cfg.sampler = sampler;
     cfg.signer = signer;
-    if (deferred) {
-      coin::BatchVerifier::Config bcfg{vrf, sampler, signer};
-      bcfg.watermark = watermark;
-      batcher = std::make_shared<coin::BatchVerifier>(bcfg);
-      cfg.batcher = batcher;
-    }
+    if (memo) cfg.batcher = batcher;
     return Approver(cfg, kV);
   }
 
@@ -121,7 +120,7 @@ struct ReuseFixture {
   committee::Params params;
   std::shared_ptr<crypto::KeyRegistry> registry;
   std::shared_ptr<crypto::FastVrf> vrf;
-  std::shared_ptr<committee::Sampler> sampler;
+  std::shared_ptr<committee::CachingSampler> sampler;
   std::shared_ptr<crypto::Signer> signer;
   std::shared_ptr<coin::BatchVerifier> batcher;
   std::vector<Entry> echoes;  // W valid signed <echo,0>
@@ -146,9 +145,9 @@ TEST(Approver, OkEntryReuseNeedsByteEquality) {
   const std::vector<std::vector<Entry>> forged = {
       flipped_sig, swapped_election, foreign_sender};
 
-  for (bool deferred : {true, false}) {
-    SCOPED_TRACE(deferred ? "deferred" : "inline");
-    Approver a = fx.make_receiver(deferred);
+  for (bool memo : {true, false}) {
+    SCOPED_TRACE(memo ? "memo" : "no memo");
+    Approver a = fx.make_receiver(memo);
     CountingContext ctx(0, ReuseFixture::kN);
     // Every echo arrives first, so the table knows every honest entry.
     for (const Entry& e : fx.echoes) a.handle(ctx, fx.echo_message(e));
@@ -166,8 +165,10 @@ TEST(Approver, OkEntryReuseNeedsByteEquality) {
     // The honest oks were all accepted by byte compare.
     EXPECT_GE(ctx.counters[sim::Counter::kOkEntriesReused],
               fx.params.W * fx.params.W);
-    if (deferred)
-      EXPECT_GT(ctx.counters[sim::Counter::kSigVerifyRejects], 0u);
+    // Only the flipped signature reached a signature check (the other
+    // two forgeries fail an election first), and it was rejected.
+    EXPECT_EQ(ctx.counters[sim::Counter::kSigVerifySigs], 1u);
+    EXPECT_EQ(ctx.counters[sim::Counter::kSigVerifyRejects], 1u);
   }
 }
 
@@ -177,37 +178,78 @@ TEST(Approver, OkBeforeEchoIsVerifiedThenLearned) {
   ASSERT_GE(fx.ok_members.size(), 2u);
   const std::size_t W = fx.params.W;
 
-  for (bool deferred : {true, false}) {
-    SCOPED_TRACE(deferred ? "deferred" : "inline");
-    // Watermark 1: every ok flushes on arrival, so the counters split
-    // per ok.
-    Approver a = fx.make_receiver(deferred, /*watermark=*/1);
+  for (bool memo : {true, false}) {
+    SCOPED_TRACE(memo ? "memo" : "no memo");
+    Approver a = fx.make_receiver(memo);
     CountingContext ctx(0, ReuseFixture::kN);
 
     // The adversary holds back every echo: the first ok takes the full
-    // path, sweeping all W signatures.
+    // path, checking all W signatures.
     a.handle(ctx, fx.ok_message(fx.ok_members[0], fx.echoes));
     EXPECT_TRUE(ReuseFixture::applied(a, fx.ok_members[0]));
     EXPECT_EQ(ctx.counters[sim::Counter::kOkEntriesReused], 0u);
-    if (deferred) {
-      EXPECT_EQ(ctx.counters[sim::Counter::kSigVerifySigs], W);
-      EXPECT_EQ(fx.batcher->sig_checks(), W);
-    }
+    EXPECT_EQ(ctx.counters[sim::Counter::kSigVerifySigs], W);
+    EXPECT_EQ(ctx.counters[sim::Counter::kSigVerifyMemoHits], 0u);
+    if (memo) EXPECT_EQ(fx.batcher->sig_checks(), W);
 
     // A later ok carrying the same entries is accepted from the table.
     a.handle(ctx, fx.ok_message(fx.ok_members[1], fx.echoes));
     EXPECT_TRUE(ReuseFixture::applied(a, fx.ok_members[1]));
     EXPECT_EQ(ctx.counters[sim::Counter::kOkEntriesReused], W);
-    if (deferred) {
-      EXPECT_EQ(ctx.counters[sim::Counter::kSigVerifyFlushes], 2u);
-      EXPECT_EQ(ctx.counters[sim::Counter::kSigVerifySigs], W);  // none new
-      EXPECT_EQ(fx.batcher->sig_checks(), W);
+    EXPECT_EQ(ctx.counters[sim::Counter::kSigVerifySigs], W);  // none new
+    if (memo) EXPECT_EQ(fx.batcher->sig_checks(), W);
+
+    // A second replica sharing the memo checks the same W entries, and
+    // the memo answers every one of them.
+    if (memo) {
+      Approver b = fx.make_receiver(memo);
+      CountingContext other(1, ReuseFixture::kN);
+      b.handle(other, fx.ok_message(fx.ok_members[0], fx.echoes));
+      EXPECT_TRUE(ReuseFixture::applied(b, fx.ok_members[0]));
+      EXPECT_EQ(other.counters[sim::Counter::kSigVerifySigs], W);
+      EXPECT_EQ(other.counters[sim::Counter::kSigVerifyMemoHits], W);
     }
 
     // The held-back echoes change nothing already learned.
     for (const Entry& e : fx.echoes) a.handle(ctx, fx.echo_message(e));
     EXPECT_EQ(a.applied_oks().size(), 2u);
   }
+}
+
+// An ok from a sender already counted for the phase is dropped before
+// any check. The repeat here carries an entry the replica has never
+// checked, so checking it would cost the sender's election, that entry's
+// election and its signature, and would count the other entries reused.
+TEST(Approver, RepeatOkFromCountedSenderCostsNoCheck) {
+  ReuseFixture fx;
+  ASSERT_EQ(fx.echoes.size(), fx.params.W);
+  ASSERT_GE(fx.ok_members.size(), 1u);
+  ASSERT_GT(fx.params.W, 1u);  // one ok does not finish the approver
+  const crypto::ProcessId sender = fx.ok_members[0];
+  std::vector<Entry> altered = fx.echoes;
+  altered[0].signature[0] ^= 1;
+  const sim::Message first = fx.ok_message(sender, fx.echoes);
+  const sim::Message repeat = fx.ok_message(sender, altered);
+  const sim::Message verbatim = fx.ok_message(sender, fx.echoes);
+
+  Approver a = fx.make_receiver(/*memo=*/true);
+  CountingContext ctx(0, ReuseFixture::kN);
+  a.handle(ctx, first);
+  ASSERT_TRUE(ReuseFixture::applied(a, sender));
+
+  const auto lookups = [&] {
+    return fx.sampler->memo().hits() + fx.sampler->memo().misses();
+  };
+  const std::uint64_t sig_checks = fx.batcher->sig_checks();
+  const std::uint64_t elections = lookups();
+  const std::uint64_t reused = ctx.counters[sim::Counter::kOkEntriesReused];
+  a.handle(ctx, repeat);
+  a.handle(ctx, verbatim);
+  EXPECT_EQ(fx.batcher->sig_checks(), sig_checks);
+  EXPECT_EQ(lookups(), elections);
+  EXPECT_EQ(ctx.counters[sim::Counter::kOkEntriesReused], reused);
+  EXPECT_EQ(a.applied_oks().size(), 1u);
+  EXPECT_FALSE(a.done());
 }
 
 }  // namespace

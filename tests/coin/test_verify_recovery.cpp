@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 
+#include "committee/params.h"
 #include "core/runner.h"
 #include "sim/link.h"
 
@@ -45,6 +46,21 @@ void expect_ledger_balanced(const RunReport& r, const std::string& label) {
       << label << ": enqueued=" << r.verify_enqueued
       << " flushed=" << r.verify_batch_flushed
       << " discarded=" << r.verify_discarded;
+}
+
+// The approver checks every <ok> on arrival. In a run that rejects no
+// signature, every ok that reaches its checks is applied, and each of its
+// W entries was either reused from the replica's table or signature-
+// checked: the two counters sum to W per applied ok.
+void expect_ok_entries_accounted(const RunOptions& o, const RunReport& r,
+                                 const std::string& label) {
+  const std::uint64_t W =
+      committee::Params::derive(o.n, o.epsilon, o.d, o.strict_params).W;
+  const std::uint64_t entries = r.counters[Counter::kSigVerifySigs] +
+                                r.counters[Counter::kOkEntriesReused];
+  EXPECT_EQ(r.counters[Counter::kSigVerifyRejects], 0u) << label;
+  EXPECT_GT(entries, 0u) << label;
+  EXPECT_EQ(entries % W, 0u) << label << ": entries=" << entries;
 }
 
 // The conservation law across a spread of crash-recover runs on both
@@ -130,12 +146,12 @@ TEST(VerifyRecovery, DeferredVerdictsMatchInlineUnderCrashRecovery) {
   }
 }
 
-// The ledger law extended to SIGNATURE entries: ba-whp's approver defers
-// its W-signature ok sweeps through the same shared BatchVerifier, so a
-// crash-recovery that destroys an approver's pending-ok queue settles
-// those oks as discarded — the conservation equality must keep holding
-// with approver traffic folded in, and the signature plane must actually
-// have run (flushes, HMAC checks and cross-receiver memo hits all > 0).
+// The ledger law with ba-whp's approvers in the run: their ok-proof
+// checks run on arrival, outside the coins' share queues, so a
+// crash-recovery that destroys an approver leaves nothing pending and
+// the ledger still balances. The signature plane must actually have run:
+// every applied ok's W entries were reused or signature-checked, and the
+// run-wide memo collapsed repeated checks.
 TEST(VerifyRecovery, SignatureLedgerBalancesAcrossCrashRecovery) {
   for (std::uint64_t seed : {3ULL, 11ULL}) {
     RunOptions o = recovery_options(Protocol::kBaWhp, 32, seed);
@@ -144,22 +160,20 @@ TEST(VerifyRecovery, SignatureLedgerBalancesAcrossCrashRecovery) {
     expect_ledger_balanced(r, label);
     EXPECT_TRUE(r.invariant_violations.empty()) << label;
     EXPECT_TRUE(r.all_correct_decided) << label;
-    // The signature batch plane really ran...
-    EXPECT_GT(r.counters[Counter::kSigVerifyFlushes], 0u) << label;
-    EXPECT_GT(r.counters[Counter::kSigVerifySigs], 0u) << label;
-    // ...and the memo collapsed repeats: every ok embeds the SAME W
-    // signed echoes, and echo-phase checks share the memo, so hits
-    // dominate (each broadcast triple verifies ~once run-wide).
+    // Honest-only run: every ok is accounted for and none is rejected.
+    expect_ok_entries_accounted(o, r, label);
+    // Every ok embeds the SAME W signed echoes, and echo-phase checks
+    // share the memo, so hits dominate (each broadcast triple verifies
+    // ~once run-wide).
     EXPECT_GT(r.sig_memo_hits * 2, r.sig_checks) << label;
-    // Honest-only run: deferral rejects nothing.
-    EXPECT_EQ(r.counters[Counter::kSigVerifyRejects], 0u) << label;
   }
 }
 
 // Memoized vs direct signature verdicts stay bit-identical for ba-whp
 // even when crash-recovery replays the approver mid-protocol: decision,
-// rounds, words and messages match the inline-verification run exactly,
-// and only the deferred run touches the signature batch counters.
+// rounds, words and messages match the inline-verification run exactly.
+// Both runs check oks on the one path, so they reuse and check the same
+// entries; only the memoized run answers any of them from the memo.
 TEST(VerifyRecovery, BaWhpDeferredSigVerdictsMatchInlineUnderRecovery) {
   for (std::uint64_t seed : {5ULL, 8ULL}) {
     RunOptions deferred = recovery_options(Protocol::kBaWhp, 32, seed);
@@ -177,9 +191,11 @@ TEST(VerifyRecovery, BaWhpDeferredSigVerdictsMatchInlineUnderRecovery) {
     EXPECT_EQ(a.messages, b.messages) << label;
     EXPECT_EQ(a.words_by_tag, b.words_by_tag) << label;
 
-    EXPECT_GT(a.counters[Counter::kSigVerifySigs], 0u) << label;
-    EXPECT_EQ(b.counters[Counter::kSigVerifySigs], 0u) << label;
-    EXPECT_EQ(a.counters[Counter::kSigVerifyRejects], 0u) << label;
+    expect_ok_entries_accounted(deferred, a, label);
+    for (Counter c : {Counter::kSigVerifySigs, Counter::kSigVerifyRejects,
+                      Counter::kOkEntriesReused})
+      EXPECT_EQ(a.counters[c], b.counters[c]) << label;
+    EXPECT_EQ(b.counters[Counter::kSigVerifyMemoHits], 0u) << label;
     expect_ledger_balanced(a, label);
   }
 }

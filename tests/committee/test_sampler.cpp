@@ -175,7 +175,7 @@ TEST(CachingSampler, CachesNegativeVerdictsToo) {
   Bytes garbage = bytes_of("not-a-proof");
   EXPECT_FALSE(cached.committee_val("s", 0, garbage));
   EXPECT_FALSE(cached.committee_val("s", 0, garbage));
-  EXPECT_EQ(cached.val_cache_size(), 1u);
+  EXPECT_EQ(cached.memo().size(), 1u);
 }
 
 TEST(CachingSampler, DistinguishesProofsUnderOneKey) {

@@ -1,9 +1,10 @@
-// Batched + memoized signature verification (the approver ok-path
-// tentpole): Signer::batch_verify must agree entry-for-entry with the
-// single-shot verify() oracle, and VerdictMemo must cache verdicts by the
-// FULL (signer, message, sig) triple — a forged signature caches its own
-// negative verdict without poisoning the honest pair, because the honest
-// signature is a different key.
+// Memoized signature verification (the approver's echo and ok-entry
+// checks): BatchVerifier::check_signature must agree entry-for-entry with
+// the single-shot verify() oracle, whether the memo misses or hits, and
+// VerdictMemo must cache verdicts by the FULL (signer, message, sig)
+// triple — a forged signature caches its own negative verdict without
+// poisoning the honest pair, because the honest signature is a different
+// key.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -30,15 +31,13 @@ class SigBatchTest : public ::testing::Test {
   Signer signer_;
 };
 
-TEST_F(SigBatchTest, EmptyBatchProducesEmptyOutput) {
-  std::vector<char> out(3, 1);  // stale garbage must be cleared
-  signer_.batch_verify({}, out);
-  EXPECT_TRUE(out.empty());
-}
-
-// The oracle law: out[i] == verify(entries[i]) for every i, across a
-// batch mixing valid, tampered, wrong-signer and unknown-signer entries.
+// The oracle law: check_signature(e) == verify(e) for every entry of a
+// set mixing valid, tampered, wrong-signer and unknown-signer entries,
+// once as a memo miss and once as a memo hit.
 TEST_F(SigBatchTest, BatchVerdictsMatchSingleVerifyOracle) {
+  coin::BatchVerifier batcher(coin::BatchVerifier::Config{
+      std::make_shared<FastVrf>(registry_), nullptr,
+      std::make_shared<Signer>(registry_)});
   Bytes m1 = bytes_of("ba|echo|0");
   Bytes m2 = bytes_of("ba|echo|1");
   Bytes s1 = signer_.sign(1, m1);
@@ -47,7 +46,7 @@ TEST_F(SigBatchTest, BatchVerdictsMatchSingleVerifyOracle) {
   tampered[5] ^= 0x40;
   Bytes junk(Signer::kSignatureSize, 0xab);
 
-  std::vector<SigBatchEntry> es = {
+  const std::vector<SigBatchEntry> es = {
       entry(1, m1, s1),        // valid
       entry(2, m1, s1),        // wrong signer
       entry(1, m2, s1),        // wrong message
@@ -55,50 +54,21 @@ TEST_F(SigBatchTest, BatchVerdictsMatchSingleVerifyOracle) {
       entry(99, m1, junk),     // unknown signer
       entry(2, m2, s2),        // valid, different (signer, message)
   };
-  std::vector<char> out;
-  signer_.batch_verify(es, out);
-  ASSERT_EQ(out.size(), es.size());
-  for (std::size_t i = 0; i < es.size(); ++i)
-    EXPECT_EQ(out[i] != 0, signer_.verify(es[i].signer, es[i].message, es[i].sig))
-        << "entry " << i;
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(out[1], 0);
-  EXPECT_EQ(out[2], 0);
-  EXPECT_EQ(out[3], 0);
-  EXPECT_EQ(out[4], 0);
-  EXPECT_EQ(out[5], 1);
-}
-
-// The approver's W-sweep shape: many signers, ONE message. The re-tag
-// amortization (prefix recomputed only when the message changes) must
-// not change verdicts.
-TEST_F(SigBatchTest, SameMessageManySignersSweep) {
-  Bytes msg = bytes_of("ba[0]|echo|1");
-  std::vector<Bytes> sigs;
-  std::vector<SigBatchEntry> es;
-  for (ProcessId id = 0; id < 8; ++id) sigs.push_back(signer_.sign(id, msg));
-  for (ProcessId id = 0; id < 8; ++id) es.push_back(entry(id, msg, sigs[id]));
-  es.push_back(entry(3, msg, sigs[4]));  // cross-wired: must reject
-  std::vector<char> out;
-  signer_.batch_verify(es, out);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(out[i], 1) << i;
-  EXPECT_EQ(out[8], 0);
-}
-
-// Alternating messages force the re-tag on every entry — the worst case
-// for the amortization bookkeeping.
-TEST_F(SigBatchTest, AlternatingMessagesRetagCorrectly) {
-  Bytes m1 = bytes_of("alpha");
-  Bytes m2 = bytes_of("beta");
-  Bytes s11 = signer_.sign(1, m1), s12 = signer_.sign(1, m2);
-  std::vector<SigBatchEntry> es = {entry(1, m1, s11), entry(1, m2, s12),
-                                   entry(1, m1, s11), entry(1, m2, s11)};
-  std::vector<char> out;
-  signer_.batch_verify(es, out);
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(out[1], 1);
-  EXPECT_EQ(out[2], 1);
-  EXPECT_EQ(out[3], 0);  // m2 signed bytes ≠ s11
+  const std::vector<bool> expected = {true, false, false, false, false, true};
+  for (bool hit : {false, true}) {
+    SCOPED_TRACE(hit ? "memo hit" : "memo miss");
+    for (std::size_t i = 0; i < es.size(); ++i) {
+      bool memo_hit = !hit;
+      const bool ok = batcher.check_signature(es[i], &memo_hit);
+      EXPECT_EQ(ok, signer_.verify(es[i].signer, es[i].message, es[i].sig))
+          << "entry " << i;
+      EXPECT_EQ(ok, expected[i]) << "entry " << i;
+      EXPECT_EQ(memo_hit, hit) << "entry " << i;
+    }
+  }
+  EXPECT_EQ(batcher.sig_checks(), 2 * es.size());
+  EXPECT_EQ(batcher.sig_rejects(), 8u);
+  EXPECT_EQ(batcher.sig_memo().size(), es.size());
 }
 
 TEST_F(SigBatchTest, MemoMissThenHitWithCounters) {
@@ -206,43 +176,9 @@ class BatchVerifierSigTest : public SigBatchTest {
   coin::BatchVerifier batcher_;
 };
 
-// verify_signatures must equal the oracle AND collapse repeats: the
-// second identical flush answers entirely from the memo (zero HMAC), and
-// intra-flush duplicates of one miss reach the signer once.
-TEST_F(BatchVerifierSigTest, VerifySignaturesMemoizesAcrossFlushes) {
-  Bytes m = bytes_of("echo-proof");
-  Bytes good = signer_.sign(5, m);
-  Bytes bad = good;
-  bad[3] ^= 2;
-  std::vector<SigBatchEntry> es = {
-      entry(5, m, good), entry(5, m, bad),
-      entry(5, m, good),  // intra-flush duplicate of entry 0
-  };
-  std::vector<char> out;
-  auto first = batcher_.verify_signatures(es, out);
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(out[1], 0);
-  EXPECT_EQ(out[2], 1);
-  EXPECT_EQ(first.memo_hits, 0u);
-  EXPECT_EQ(first.rejects, 1u);
-  // Dedup before the signer: 3 entries, 2 unique triples stored.
-  EXPECT_EQ(batcher_.sig_memo().size(), 2u);
-
-  auto second = batcher_.verify_signatures(es, out);
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(out[1], 0);
-  EXPECT_EQ(out[2], 1);
-  EXPECT_EQ(second.memo_hits, es.size());  // all answered from the memo
-  EXPECT_EQ(second.rejects, 1u);           // rejects recount per flush
-
-  EXPECT_EQ(batcher_.sig_batches(), 2u);
-  EXPECT_EQ(batcher_.sig_checks(), 2 * es.size());
-  EXPECT_EQ(batcher_.sig_rejects(), 2u);
-}
-
-// check_signature (the echo fast path) shares the same memo: the first
-// call verifies, repeats answer without re-verifying, and the verdict
-// matches the oracle either way.
+// check_signature shares one memo across calls: the first call
+// verifies, repeats answer without re-verifying, and the verdict matches
+// the oracle either way.
 TEST_F(BatchVerifierSigTest, CheckSignatureSharesTheMemo) {
   Bytes m = bytes_of("ba|echo|0");
   Bytes s = signer_.sign(2, m);
@@ -251,13 +187,6 @@ TEST_F(BatchVerifierSigTest, CheckSignatureSharesTheMemo) {
   EXPECT_EQ(batcher_.sig_memo().misses(), 1u);
   EXPECT_TRUE(batcher_.check_signature(e));
   EXPECT_GE(batcher_.sig_memo().hits(), 1u);
-
-  // And a later batch containing the same triple is a pure memo hit.
-  std::vector<SigBatchEntry> es = {e};
-  std::vector<char> out;
-  auto stats = batcher_.verify_signatures(es, out);
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(stats.memo_hits, 1u);
 }
 
 }  // namespace

@@ -180,7 +180,6 @@ TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
     m.add(Counter::kVerifyShares, 203);
     m.add(Counter::kVerifyRejects, 21);
     m.add(Counter::kVerifyMemoHits, 35);
-    m.add(Counter::kSigVerifyFlushes, 8);
     m.add(Counter::kSigVerifySigs, 248);
     m.add(Counter::kSigVerifyRejects, 16);
     m.add(Counter::kSigVerifyMemoHits, 72);
@@ -210,7 +209,7 @@ TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
       ",\"link_replays\":5,\"retransmits\":2,\"retransmit_words\":100"
       ",\"dead_letters\":6,\"dead_letter_words\":180,\"verify_flushes\":7"
       ",\"verify_shares\":203,\"verify_rejects\":21"
-      ",\"verify_memo_hits\":35,\"sig_verify_flushes\":8"
+      ",\"verify_memo_hits\":35"
       ",\"sig_verify_sigs\":248,\"sig_verify_rejects\":16"
       ",\"sig_verify_memo_hits\":72,\"ok_entries_reused\":496"
       ",\"rbc_encodes\":9"
@@ -265,8 +264,6 @@ TEST(Metrics, JsonAndPrometheusExportsAreDeterministic) {
       "coincidence_verify_rejects_total 21\n"
       "# TYPE coincidence_verify_memo_hits_total counter\n"
       "coincidence_verify_memo_hits_total 35\n"
-      "# TYPE coincidence_sig_verify_flushes_total counter\n"
-      "coincidence_sig_verify_flushes_total 8\n"
       "# TYPE coincidence_sig_verify_sigs_total counter\n"
       "coincidence_sig_verify_sigs_total 248\n"
       "# TYPE coincidence_sig_verify_rejects_total counter\n"

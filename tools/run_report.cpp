@@ -310,16 +310,15 @@ int main(int argc, char** argv) {
             << c[Counter::kVerifyShares] << " shares, "
             << c[Counter::kVerifyRejects] << " rejects, "
             << c[Counter::kVerifyMemoHits] << " memo hits)\n";
-  // Same deal for the approver's deferred ok sweeps: zero words (the ok
-  // messages were already charged), pure verification compute. "reused"
-  // counts ok entries a replica accepted by byte compare against an
-  // entry it had already checked; memo hit-rate is the run-wide dedup of
-  // the remaining signature checks (mostly echoes, one triple reaching
-  // n receivers).
-  if (c[Counter::kSigVerifyFlushes] + r.sig_checks > 0) {
+  // Same deal for the approver's ok-proof checks: zero words (the ok
+  // messages were already charged), pure verification compute. "sigs"
+  // are the entry signatures checked, "reused" the ok entries a replica
+  // accepted by byte compare against an entry it had already checked;
+  // memo hit-rate is the run-wide dedup of every signature check (mostly
+  // echoes, one triple reaching n receivers).
+  if (c[Counter::kSigVerifySigs] + r.sig_checks > 0) {
     std::cout << "  sig-verify" << std::string(widest > 10 ? widest - 10 + 2 : 2, ' ')
-              << 0 << "   (" << c[Counter::kSigVerifyFlushes]
-              << " batches, " << c[Counter::kSigVerifySigs] << " sigs, "
+              << 0 << "   (" << c[Counter::kSigVerifySigs] << " sigs, "
               << c[Counter::kOkEntriesReused] << " reused, "
               << c[Counter::kSigVerifyRejects] << " rejects";
     if (r.sig_checks > 0)
