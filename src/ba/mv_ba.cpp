@@ -55,7 +55,7 @@ void MultiValuedBa::on_message(sim::Context& ctx, const sim::Message& msg) {
     pump(ctx);
     return;
   }
-  const auto k = candidate_of_tag(msg.tag);
+  const auto k = cand_index_.of(msg.tag);
   if (!k) return;  // foreign tag — only Byzantine senders produce these
   if (*k < bas_.size()) {
     bas_[*k]->on_message(ctx, msg);
@@ -95,7 +95,7 @@ void MultiValuedBa::activate_next(sim::Context& ctx) {
   std::vector<sim::Message> pending;
   pending.swap(backlog_);
   for (auto& m : pending) {
-    const auto c = candidate_of_tag(m.tag);
+    const auto c = cand_index_.of(m.tag);
     if (c && *c == k)
       bas_[k]->on_message(ctx, m);
     else
@@ -163,31 +163,6 @@ void MultiValuedBa::on_rbc_deliver(sim::ProcessId source,
   if (source < delivered_.size() && !delivered_[source].has_value())
     delivered_[source] = payload;
   if (awaiting_proposer_ && *awaiting_proposer_ == source) finish(*ctx_);
-}
-
-std::optional<std::size_t> MultiValuedBa::candidate_of_tag(
-    const sim::Tag& tag) {
-  if (const std::uint32_t* cached = cand_cache_.find(tag.id()))
-    return *cached == 0 ? std::nullopt
-                        : std::optional<std::size_t>(*cached - 1);
-  const std::string& t = tag.str();
-  const std::size_t base = cfg_.tag.size();
-  std::optional<std::size_t> result;
-  if (t.size() > base + 2 && t.compare(0, base, cfg_.tag) == 0 &&
-      t[base] == '/' && t[base + 1] == 'c') {
-    std::size_t k = 0;
-    std::size_t i = base + 2;
-    bool any = false;
-    while (i < t.size() && t[i] >= '0' && t[i] <= '9') {
-      k = k * 10 + static_cast<std::size_t>(t[i] - '0');
-      ++i;
-      any = true;
-    }
-    if (any && (i == t.size() || t[i] == '/')) result = k;
-  }
-  cand_cache_[tag.id()] =
-      result ? static_cast<std::uint32_t>(*result) + 1 : 0;
-  return result;
 }
 
 int MultiValuedBa::decision() const {

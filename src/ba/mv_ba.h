@@ -48,7 +48,7 @@
 #include "ba/ba_whp.h"
 #include "ba/broadcast.h"
 #include "common/bytes.h"
-#include "sim/flat_map64.h"
+#include "sim/tag_table.h"
 
 namespace coincidence::ba {
 
@@ -129,9 +129,6 @@ class MultiValuedBa final : public BaProcess {
   void adopt(sim::Context& ctx, std::size_t k);
   void finish(sim::Context& ctx);
   void on_rbc_deliver(sim::ProcessId source, const Bytes& payload);
-  /// Candidate index encoded in a "<tag>/c<k>/..." tag, or nullopt for
-  /// foreign / malformed tags. Memoized per TagId.
-  std::optional<std::size_t> candidate_of_tag(const sim::Tag& tag);
 
   Config cfg_;
   Bytes proposal_;
@@ -149,9 +146,8 @@ class MultiValuedBa final : public BaProcess {
   std::vector<bool> ba_done_;
   // Messages for candidates not yet activated, replayed on activation.
   std::vector<sim::Message> backlog_;
-  // TagId -> candidate index + 1 (0 = not an inner-BA tag). Mirrors
-  // InstanceMux's memoized routing.
-  sim::FlatMap64<std::uint32_t> cand_cache_;
+  // Candidate index k of a "<tag>/c<k>/..." inner-BA tag.
+  sim::TagIndex cand_index_{cfg_.tag + "/c"};
 
   // Candidate bas_.size() is due for activation (start, or the previous
   // candidate decided 0) but waits for its gate: the candidate's own RBC

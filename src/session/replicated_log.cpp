@@ -45,7 +45,7 @@ void LogProcess::on_start(sim::Context& ctx) {
 }
 
 void LogProcess::on_message(sim::Context& ctx, const sim::Message& msg) {
-  const auto k = slot_of_tag(msg.tag);
+  const auto k = slot_index_.of(msg.tag);
   if (!k) return;  // foreign tag
   if (*k < slots_.size()) {
     slots_[*k]->on_message(ctx, msg);
@@ -123,35 +123,12 @@ void LogProcess::activate_slot(sim::Context& ctx) {
   std::vector<sim::Message> pending;
   pending.swap(backlog_);
   for (auto& m : pending) {
-    const auto s = slot_of_tag(m.tag);
+    const auto s = slot_index_.of(m.tag);
     if (s && *s == k)
       slots_[k]->on_message(ctx, m);
     else
       backlog_.push_back(std::move(m));
   }
-}
-
-std::optional<std::size_t> LogProcess::slot_of_tag(const sim::Tag& tag) {
-  if (const std::uint32_t* cached = slot_cache_.find(tag.id()))
-    return *cached == 0 ? std::nullopt
-                        : std::optional<std::size_t>(*cached - 1);
-  const std::string& t = tag.str();
-  const std::size_t base = cfg_.slot_prefix.size();
-  std::optional<std::size_t> result;
-  if (t.size() > base && t.compare(0, base, cfg_.slot_prefix) == 0) {
-    std::size_t k = 0;
-    std::size_t i = base;
-    bool any = false;
-    while (i < t.size() && t[i] >= '0' && t[i] <= '9') {
-      k = k * 10 + static_cast<std::size_t>(t[i] - '0');
-      ++i;
-      any = true;
-    }
-    if (any && (i == t.size() || t[i] == '/')) result = k;
-  }
-  slot_cache_[tag.id()] =
-      result ? static_cast<std::uint32_t>(*result) + 1 : 0;
-  return result;
 }
 
 crypto::Digest LogProcess::log_fingerprint() const {

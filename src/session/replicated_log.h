@@ -33,7 +33,7 @@
 #include "ba/mv_ba.h"
 #include "common/bytes.h"
 #include "crypto/sha256.h"
-#include "sim/flat_map64.h"
+#include "sim/tag_table.h"
 #include "sim/process.h"
 
 namespace coincidence::session {
@@ -114,7 +114,6 @@ class LogProcess final : public sim::Process {
   /// the pipeline has room, extend the contiguous committed prefix.
   void pump(sim::Context& ctx);
   void activate_slot(sim::Context& ctx);
-  std::optional<std::size_t> slot_of_tag(const sim::Tag& tag);
 
   LogConfig cfg_;
   sim::ProcessId self_ = 0;  // bound in on_start
@@ -125,8 +124,8 @@ class LogProcess final : public sim::Process {
   std::vector<bool> slot_done_;
   std::size_t decided_count_ = 0;
   std::vector<sim::Message> backlog_;  // for slots not yet activated
-  // TagId -> slot index + 1 (0 = foreign tag), as in InstanceMux.
-  sim::FlatMap64<std::uint32_t> slot_cache_;
+  // Slot index k of a "<slot_prefix><k>/..." tag.
+  sim::TagIndex slot_index_{cfg_.slot_prefix};
 
   std::vector<Bytes> log_;  // committed contiguous prefix
   std::uint64_t requests_committed_ = 0;

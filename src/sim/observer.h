@@ -51,10 +51,8 @@ class Observer {
   /// The lossy link layer enqueued an extra copy of `msg`.
   virtual void on_link_duplicate(const Message& /*msg*/) {}
 
-  /// The lossy link layer belched up a stale replay. Default forwards to
-  /// on_link_duplicate, matching the pre-telemetry contract where both
-  /// network-created copies arrived through one hook.
-  virtual void on_link_replay(const Message& msg) { on_link_duplicate(msg); }
+  /// The lossy link layer belched up a stale replay of `msg`.
+  virtual void on_link_replay(const Message& /*msg*/) {}
 
   /// A transport gave up on a frame (e.g. net::ReliableChannel exhausting
   /// max_retransmits). The payload is gone for good and is *not* covered

@@ -60,4 +60,26 @@ std::ostream& operator<<(std::ostream& os, const Tag& tag) {
   return os << tag.str();
 }
 
+std::optional<std::size_t> TagIndex::of(const Tag& tag) {
+  if (const std::uint32_t* cached = memo_.find(tag.id()))
+    return *cached == 0 ? std::nullopt
+                        : std::optional<std::size_t>(*cached - 1);
+  const std::string& t = tag.str();
+  const std::size_t base = prefix_.size();
+  std::optional<std::size_t> result;
+  if (t.size() > base && t.compare(0, base, prefix_) == 0) {
+    std::size_t k = 0;
+    std::size_t i = base;
+    bool any = false;
+    while (i < t.size() && t[i] >= '0' && t[i] <= '9') {
+      k = k * 10 + static_cast<std::size_t>(t[i] - '0');
+      ++i;
+      any = true;
+    }
+    if (any && (i == t.size() || t[i] == '/')) result = k;
+  }
+  memo_[tag.id()] = result ? static_cast<std::uint32_t>(*result) + 1 : 0;
+  return result;
+}
+
 }  // namespace coincidence::sim

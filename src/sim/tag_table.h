@@ -27,10 +27,13 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+
+#include "sim/flat_map64.h"
 
 namespace coincidence::sim {
 
@@ -104,5 +107,20 @@ class Tag {
 };
 
 std::ostream& operator<<(std::ostream& os, const Tag& tag);
+
+/// Routes tags shaped "<prefix><digits>", then end or '/', to the index
+/// the digits spell ("slot12/..." -> 12 under prefix "slot"); any other
+/// tag has no index. Memoized per TagId, so each distinct tag is parsed
+/// once per TagIndex.
+class TagIndex {
+ public:
+  explicit TagIndex(std::string prefix) : prefix_(std::move(prefix)) {}
+
+  std::optional<std::size_t> of(const Tag& tag);
+
+ private:
+  std::string prefix_;
+  FlatMap64<std::uint32_t> memo_;  // TagId -> index + 1 (0 = no index)
+};
 
 }  // namespace coincidence::sim

@@ -57,8 +57,6 @@ void json_escape(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
-}  // namespace
-
 const char* fault_mode_name(FaultPlan::Mode mode) {
   switch (mode) {
     case FaultPlan::Mode::kCorrect: return "correct";
@@ -71,35 +69,18 @@ const char* fault_mode_name(FaultPlan::Mode mode) {
   return "unknown";
 }
 
+}  // namespace
+
 TraceRecorder::TraceRecorder(std::string tag_filter)
     : tag_filter_(std::move(tag_filter)) {}
-
-TraceRecorder::TraceRecorder(TraceOptions opts)
-    : tag_filter_(std::move(opts.tag_filter)), structured_(opts.structured) {}
-
-void TraceRecorder::clear() {
-  events_.clear();
-  records_.clear();
-  clocks_.clear();
-  send_clock_.clear();
-  copy_prov_.clear();
-}
 
 bool TraceRecorder::passes_filter(const Message& msg) const {
   return tag_filter_.empty() ||
          msg.tag.str().find(tag_filter_) != std::string::npos;
 }
 
-std::vector<std::uint64_t>& TraceRecorder::clock_of(ProcessId id) {
-  if (id >= clocks_.size()) clocks_.resize(id + 1);
-  auto& clock = clocks_[id];
-  if (clock.size() <= id) clock.resize(id + 1, 0);
-  return clock;
-}
-
 void TraceRecorder::record_message(Rec::Kind kind, const Message& msg,
-                                   bool correct, Prov prov,
-                                   const std::vector<std::uint64_t>* vc) {
+                                   bool correct, Prov prov) {
   Rec rec;
   rec.kind = kind;
   rec.msg_id = msg.id;
@@ -111,50 +92,26 @@ void TraceRecorder::record_message(Rec::Kind kind, const Message& msg,
   rec.depth = msg.causal_depth;
   rec.correct = correct;
   rec.prov = prov;
-  if (vc != nullptr) rec.vc = *vc;
   records_.push_back(std::move(rec));
 }
 
 void TraceRecorder::on_send(const Message& msg, bool sender_correct) {
   if (!passes_filter(msg)) return;
-  events_.push_back({Event::Kind::kSend, msg.id, msg.from, msg.to,
-                     msg.tag.str(), msg.words, sender_correct});
-  if (!structured_) return;
-  // Lamport send: bump the sender's own component and snapshot. The
-  // snapshot is keyed by send_seq so that link duplicates and replays of
-  // this send (fresh msg ids, same send_seq) still resolve to it.
-  auto& clock = clock_of(msg.from);
-  ++clock[msg.from];
-  send_clock_.insert_or_assign(msg.send_seq, clock);
   record_message(Rec::Kind::kSend, msg, sender_correct,
-                 msg.retransmit ? Prov::kRetransmit : Prov::kFresh, &clock);
+                 msg.retransmit ? Prov::kRetransmit : Prov::kFresh);
 }
 
 void TraceRecorder::on_deliver(const Message& msg) {
   if (!passes_filter(msg)) return;
-  events_.push_back({Event::Kind::kDeliver, msg.id, msg.from, msg.to,
-                     msg.tag.str(), msg.words, true});
-  if (!structured_) return;
-  // Lamport receive: fold the send snapshot in, then bump the receiver.
-  auto& clock = clock_of(msg.to);
-  if (const auto* sent = send_clock_.find(msg.send_seq)) {
-    if (clock.size() < sent->size()) clock.resize(sent->size(), 0);
-    for (std::size_t i = 0; i < sent->size(); ++i)
-      clock[i] = std::max(clock[i], (*sent)[i]);
-  }
-  ++clock[msg.to];
   Prov prov = msg.retransmit ? Prov::kRetransmit : Prov::kFresh;
   if (const auto* copy = copy_prov_.find(msg.id))
     prov = static_cast<Prov>(*copy);
-  record_message(Rec::Kind::kDeliver, msg, true, prov, &clock);
+  record_message(Rec::Kind::kDeliver, msg, true, prov);
 }
 
 void TraceRecorder::on_corrupt(ProcessId target, const FaultPlan& plan) {
   // Never filtered: the tag field holds a fault-mode name, not a message
-  // tag, and fault accounting must survive any tag_filter.
-  events_.push_back({Event::Kind::kCorrupt, 0, target, target,
-                     fault_mode_name(plan.mode), 0, false});
-  if (!structured_) return;
+  // tag, and fault accounting must survive any tag filter.
   Rec rec;
   rec.kind = Rec::Kind::kCorrupt;
   rec.from = target;
@@ -164,7 +121,6 @@ void TraceRecorder::on_corrupt(ProcessId target, const FaultPlan& plan) {
 }
 
 void TraceRecorder::on_recover(ProcessId target) {
-  if (!structured_) return;
   Rec rec;
   rec.kind = Rec::Kind::kRecover;
   rec.from = target;
@@ -172,30 +128,23 @@ void TraceRecorder::on_recover(ProcessId target) {
 }
 
 void TraceRecorder::on_link_drop(const Message& msg) {
-  if (!structured_) return;
-  const auto* vc = send_clock_.find(msg.send_seq);
-  record_message(Rec::Kind::kDrop, msg, true, Prov::kFresh, vc);
+  record_message(Rec::Kind::kDrop, msg, true, Prov::kFresh);
 }
 
 void TraceRecorder::on_link_duplicate(const Message& msg) {
-  if (!structured_) return;
   copy_prov_.insert_or_assign(msg.id,
                               static_cast<std::uint8_t>(Prov::kDuplicate));
-  const auto* vc = send_clock_.find(msg.send_seq);
-  record_message(Rec::Kind::kDuplicate, msg, true, Prov::kDuplicate, vc);
+  record_message(Rec::Kind::kDuplicate, msg, true, Prov::kDuplicate);
 }
 
 void TraceRecorder::on_link_replay(const Message& msg) {
-  if (!structured_) return;
   copy_prov_.insert_or_assign(msg.id,
                               static_cast<std::uint8_t>(Prov::kReplay));
-  const auto* vc = send_clock_.find(msg.send_seq);
-  record_message(Rec::Kind::kReplay, msg, true, Prov::kReplay, vc);
+  record_message(Rec::Kind::kReplay, msg, true, Prov::kReplay);
 }
 
 void TraceRecorder::on_dead_letter(ProcessId from, ProcessId to,
                                    const Tag& tag, std::size_t words) {
-  if (!structured_) return;
   Rec rec;
   rec.kind = Rec::Kind::kDeadLetter;
   rec.from = from;
@@ -206,7 +155,6 @@ void TraceRecorder::on_dead_letter(ProcessId from, ProcessId to,
 }
 
 void TraceRecorder::on_decide(const DecideEvent& event) {
-  if (!structured_) return;
   Rec rec;
   rec.kind = Rec::Kind::kDecide;
   rec.from = event.who;
@@ -215,12 +163,10 @@ void TraceRecorder::on_decide(const DecideEvent& event) {
   rec.round = event.round;
   rec.value = event.value;
   rec.correct = event.correct;
-  rec.vc = clock_of(event.who);
   records_.push_back(std::move(rec));
 }
 
 void TraceRecorder::on_round(ProcessId who, std::uint64_t round) {
-  if (!structured_) return;
   Rec rec;
   rec.kind = Rec::Kind::kRound;
   rec.from = who;
@@ -228,29 +174,84 @@ void TraceRecorder::on_round(ProcessId who, std::uint64_t round) {
   records_.push_back(std::move(rec));
 }
 
+std::vector<std::vector<std::uint64_t>> TraceRecorder::vector_clocks()
+    const {
+  std::vector<std::vector<std::uint64_t>> stamps(records_.size());
+  std::vector<std::vector<std::uint64_t>> clocks;  // index = ProcessId
+  auto clock_of = [&clocks](ProcessId id) -> std::vector<std::uint64_t>& {
+    if (id >= clocks.size()) clocks.resize(id + 1);
+    auto& clock = clocks[id];
+    if (clock.size() <= id) clock.resize(id + 1, 0);
+    return clock;
+  };
+  // send_seq -> index of the latest send record with it. Link duplicates
+  // and replays get fresh msg ids but keep their send's send_seq, so a
+  // stale copy still resolves to its causal timestamp.
+  FlatMap64<std::size_t> send_at;
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const Rec& r = records_[i];
+    switch (r.kind) {
+      case Rec::Kind::kSend: {
+        auto& clock = clock_of(r.from);
+        ++clock[r.from];
+        stamps[i] = clock;
+        send_at.insert_or_assign(r.send_seq, i);
+        break;
+      }
+      case Rec::Kind::kDeliver: {
+        auto& clock = clock_of(r.to);
+        if (const std::size_t* sent = send_at.find(r.send_seq)) {
+          const auto& snap = stamps[*sent];
+          if (clock.size() < snap.size()) clock.resize(snap.size(), 0);
+          for (std::size_t k = 0; k < snap.size(); ++k)
+            clock[k] = std::max(clock[k], snap[k]);
+        }
+        ++clock[r.to];
+        stamps[i] = clock;
+        break;
+      }
+      case Rec::Kind::kDrop:
+      case Rec::Kind::kDuplicate:
+      case Rec::Kind::kReplay:
+        if (const std::size_t* sent = send_at.find(r.send_seq))
+          stamps[i] = stamps[*sent];
+        break;
+      case Rec::Kind::kDecide:
+        stamps[i] = clock_of(r.from);
+        break;
+      default:
+        break;
+    }
+  }
+  return stamps;
+}
+
 void TraceRecorder::dump(std::ostream& os) const {
-  for (const Event& e : events_) {
-    switch (e.kind) {
-      case Event::Kind::kSend:
-        os << "S " << e.msg_id << ' ' << e.from << "->" << e.to << ' '
-           << e.tag << ' ' << e.words << (e.sender_correct ? "" : " BYZ")
-           << '\n';
+  for (const Rec& r : records_) {
+    switch (r.kind) {
+      case Rec::Kind::kSend:
+        os << "S " << r.msg_id << ' ' << r.from << "->" << r.to << ' '
+           << r.tag << ' ' << r.words << (r.correct ? "" : " BYZ") << '\n';
         break;
-      case Event::Kind::kDeliver:
-        os << "D " << e.msg_id << ' ' << e.from << "->" << e.to << ' '
-           << e.tag << '\n';
+      case Rec::Kind::kDeliver:
+        os << "D " << r.msg_id << ' ' << r.from << "->" << r.to << ' '
+           << r.tag << '\n';
         break;
-      case Event::Kind::kCorrupt:
-        os << "C " << e.from << ' ' << e.tag << '\n';
+      case Rec::Kind::kCorrupt:
+        os << "C " << r.from << ' ' << r.tag << '\n';
+        break;
+      default:
         break;
     }
   }
 }
 
 void TraceRecorder::dump_jsonl(std::ostream& os) const {
-  std::uint64_t seq = 0;
-  for (const Rec& r : records_) {
-    os << "{\"seq\":" << seq++ << ",\"ev\":\"" << rec_kind_name(r.kind)
+  const auto stamps = vector_clocks();
+  for (std::size_t seq = 0; seq < records_.size(); ++seq) {
+    const Rec& r = records_[seq];
+    const auto& vc = stamps[seq];
+    os << "{\"seq\":" << seq << ",\"ev\":\"" << rec_kind_name(r.kind)
        << '"';
     switch (r.kind) {
       case Rec::Kind::kSend:
@@ -288,11 +289,11 @@ void TraceRecorder::dump_jsonl(std::ostream& os) const {
         os << ",\"who\":" << r.from << ",\"round\":" << r.round;
         break;
     }
-    if (!r.vc.empty()) {
+    if (!vc.empty()) {
       os << ",\"vc\":[";
-      for (std::size_t i = 0; i < r.vc.size(); ++i) {
+      for (std::size_t i = 0; i < vc.size(); ++i) {
         if (i != 0) os << ',';
-        os << r.vc[i];
+        os << vc[i];
       }
       os << ']';
     }

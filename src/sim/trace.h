@@ -1,24 +1,24 @@
 // Event-trace recording built on the Observer hooks.
 //
-// Two layers share one recorder:
+// One record stream: every hook appends one Rec — sends, deliveries,
+// link drops/duplicates/replays, dead letters, decisions, round
+// transitions, corruptions, recoveries. Two printers read it:
 //
-//  * The legacy compact trace: one human-greppable line per send /
-//    deliver / corrupt event, unchanged since PR 0 — golden fingerprint
-//    tests hash dump()'s bytes, so its format and event set are frozen.
+//  * dump(): the compact trace, one human-greppable line per send /
+//    deliver / corrupt record. Its format and event set are frozen —
+//    golden fingerprint tests hash its bytes.
 //
-//  * The structured trace (opt-in via TraceOptions.structured): one JSON
-//    object per event, covering the full Observer surface — sends,
-//    deliveries, link drops/duplicates/replays, dead letters, decisions,
-//    round transitions, corruptions, recoveries — each stamped with the
-//    message's causal depth and a vector-clock timestamp maintained by
-//    the recorder itself. Deliveries carry provenance: whether the
-//    delivered copy was the fresh send, a retransmission, a link
-//    duplicate, or a stale replay. Tags are resolved to strings
-//    (TagIds never appear in output), so the JSONL stream is
-//    byte-identical across replays regardless of interning order.
+//  * dump_jsonl(): one JSON object per record, each message record
+//    stamped with its causal depth and the vector-clock timestamp that
+//    vector_clocks() derives by replaying the stream. Deliveries carry
+//    provenance: whether the delivered copy was the fresh send, a
+//    retransmission, a link duplicate, or a stale replay. Tags are
+//    resolved to strings (TagIds never appear in output), so the JSONL
+//    stream is byte-identical across replays regardless of interning
+//    order.
 //
-// Filter contract: `tag_filter` narrows *message traffic only* — send
-// and deliver events. Fault events (corrupt, drop, dead letter, decide,
+// Filter contract: the tag filter narrows *message traffic only* — send
+// and deliver records. Fault events (corrupt, drop, dead letter, decide,
 // round, ...) are always recorded: their `tag`/`mode` fields hold fault
 // or scope names, not message tags, and a filtered trace that silently
 // dropped corruptions would make fault accounting lie.
@@ -34,34 +34,12 @@
 
 namespace coincidence::sim {
 
-struct TraceOptions {
-  /// Records only send/deliver events whose tag contains this substring
-  /// (empty = all). Never applied to fault/decision events — see the
-  /// filter contract above.
-  std::string tag_filter;
-  /// Captures the structured JSONL record stream beside the legacy
-  /// compact events. Off by default: the legacy trace stays cheap and
-  /// its golden hashes stay meaningful.
-  bool structured = false;
-};
-
 class TraceRecorder final : public Observer {
  public:
-  struct Event {
-    enum class Kind { kSend, kDeliver, kCorrupt };
-    Kind kind;
-    std::uint64_t msg_id = 0;  // 0 for corruptions
-    ProcessId from = 0;        // corrupted process for kCorrupt
-    ProcessId to = 0;
-    std::string tag;           // fault mode name for kCorrupt
-    std::size_t words = 0;
-    bool sender_correct = true;
-  };
-
   /// How the delivered (or lost) copy of a message came to exist.
   enum class Prov { kFresh, kRetransmit, kDuplicate, kReplay };
 
-  /// One structured record. Field use depends on kind; unused fields
+  /// One trace record. Field use depends on kind; unused fields
   /// keep their defaults and are omitted from the JSONL line.
   struct Rec {
     enum class Kind {
@@ -88,12 +66,11 @@ class TraceRecorder final : public Observer {
     int value = 0;            // decide events
     bool correct = true;
     Prov prov = Prov::kFresh;
-    std::vector<std::uint64_t> vc;  // vector-clock timestamp
   };
 
-  /// Records only events whose tag contains `tag_filter` (empty = all).
+  /// Records only send/deliver events whose tag contains `tag_filter`
+  /// (empty = all); see the filter contract above.
   explicit TraceRecorder(std::string tag_filter = "");
-  explicit TraceRecorder(TraceOptions opts);
 
   void on_send(const Message& msg, bool sender_correct) override;
   void on_deliver(const Message& msg) override;
@@ -107,42 +84,35 @@ class TraceRecorder final : public Observer {
   void on_decide(const DecideEvent& event) override;
   void on_round(ProcessId who, std::uint64_t round) override;
 
-  const std::vector<Event>& events() const { return events_; }
-  std::size_t size() const { return events_.size(); }
-  void clear();
-
-  /// Legacy compact dump — format frozen (golden fingerprints hash it).
-  /// One line per event: "S id from->to tag words" / "D id from->to tag"
-  /// / "C target mode".
-  void dump(std::ostream& os) const;
-
-  /// Structured records (empty unless TraceOptions.structured).
   const std::vector<Rec>& records() const { return records_; }
 
-  /// JSONL dump of the structured records: one JSON object per line,
-  /// deterministic byte-for-byte for a fixed (config, seed).
+  /// Vector-clock timestamps, index-aligned with records(), derived by
+  /// replaying the stream. A send ticks the sender's component and
+  /// snapshots its clock; a delivery merges the send snapshot into the
+  /// receiver's clock and ticks; drops, duplicates and replays carry the
+  /// snapshot of their send (matched by send_seq, which link copies
+  /// share); a decide carries the decider's clock. Other records, and
+  /// copies of sends outside the stream, get an empty clock. Clocks grow
+  /// on demand (index = ProcessId); absent components are zero.
+  std::vector<std::vector<std::uint64_t>> vector_clocks() const;
+
+  /// Compact dump — format frozen (golden fingerprints hash it). One
+  /// line per send/deliver/corrupt record: "S id from->to tag words" /
+  /// "D id from->to tag" / "C target mode".
+  void dump(std::ostream& os) const;
+
+  /// JSONL dump of every record: one JSON object per line, deterministic
+  /// byte-for-byte for a fixed (config, seed).
   void dump_jsonl(std::ostream& os) const;
 
  private:
   bool passes_filter(const Message& msg) const;
-  std::vector<std::uint64_t>& clock_of(ProcessId id);
   void record_message(Rec::Kind kind, const Message& msg, bool correct,
-                      Prov prov, const std::vector<std::uint64_t>* vc);
+                      Prov prov);
 
   std::string tag_filter_;
-  bool structured_ = false;
-  std::vector<Event> events_;
   std::vector<Rec> records_;
-  // Vector clocks, maintained only in structured mode. Clocks grow on
-  // demand (index = ProcessId); snapshots are keyed by send_seq, which
-  // — unlike msg id — is shared by link duplicates and replays of the
-  // same send, so a stale copy still resolves to its causal timestamp.
-  std::vector<std::vector<std::uint64_t>> clocks_;
-  FlatMap64<std::vector<std::uint64_t>> send_clock_;  // send_seq -> vc
   FlatMap64<std::uint8_t> copy_prov_;  // msg id -> Prov of link copies
 };
-
-/// Name of a fault mode, for traces and test diagnostics.
-const char* fault_mode_name(FaultPlan::Mode mode);
 
 }  // namespace coincidence::sim

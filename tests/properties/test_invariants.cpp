@@ -143,18 +143,26 @@ TEST(Invariants, TraceRecorderCapturesAndFilters) {
   sim.start();
   sim.run();
 
-  EXPECT_GT(all->size(), firsts->size());
-  EXPECT_GT(firsts->size(), 0u);
-  for (const auto& e : firsts->events())
-    if (e.kind != sim::TraceRecorder::Event::Kind::kCorrupt)
-      EXPECT_NE(e.tag.find("first"), std::string::npos);
+  // The filter narrows send/deliver records only (see sim/trace.h).
+  using Kind = sim::TraceRecorder::Rec::Kind;
+  auto traffic = [](const sim::TraceRecorder& trace) {
+    std::size_t count = 0;
+    for (const auto& r : trace.records())
+      count += r.kind == Kind::kSend || r.kind == Kind::kDeliver;
+    return count;
+  };
+  EXPECT_GT(traffic(*all), traffic(*firsts));
+  EXPECT_GT(traffic(*firsts), 0u);
+  for (const auto& r : firsts->records())
+    if (r.kind == Kind::kSend || r.kind == Kind::kDeliver)
+      EXPECT_NE(r.tag.find("first"), std::string::npos);
   // The corruption was recorded (by the unfiltered recorder).
   bool saw_corrupt = false;
-  for (const auto& e : all->events())
-    if (e.kind == sim::TraceRecorder::Event::Kind::kCorrupt) {
+  for (const auto& r : all->records())
+    if (r.kind == Kind::kCorrupt) {
       saw_corrupt = true;
-      EXPECT_EQ(e.from, 39u);
-      EXPECT_EQ(e.tag, "silent");
+      EXPECT_EQ(r.from, 39u);
+      EXPECT_EQ(r.tag, "silent");
     }
   EXPECT_TRUE(saw_corrupt);
 

@@ -1,4 +1,4 @@
-// Fixed-seed golden fingerprints (ISSUE 3 satellite).
+// Fixed-seed golden fingerprints.
 //
 // The zero-copy message plane (TagTable interning + SharedBytes payloads
 // + flat-hash containers) must be *bit-for-bit* behaviour-preserving:
@@ -6,10 +6,14 @@
 // trace. These tests pin two workloads — a standalone whp_coin flip and
 // a ba_whp agreement over duplicating/replaying links — to fingerprint
 // strings captured on the pre-refactor tree. Any scheduling, accounting,
-// or payload drift changes the string.
+// or payload drift changes the string. A third pins the JSONL trace
+// bytes, vector clocks and provenance included, of a lossy crash-recover
+// run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -18,6 +22,7 @@
 #include "coin/coin_protocol.h"
 #include "coin/whp_coin.h"
 #include "core/env.h"
+#include "core/runner.h"
 #include "sim/simulation.h"
 #include "sim/trace.h"
 
@@ -26,13 +31,10 @@ namespace {
 
 using sim::Counter;
 
-/// FNV-1a over the trace's canonical dump — one number pinning the exact
-/// event sequence (ids, endpoints, tags, word counts, sender flags).
-std::uint64_t trace_hash(const sim::TraceRecorder& trace) {
-  std::ostringstream os;
-  trace.dump(os);
+/// FNV-1a over a trace dump — one number pinning its exact bytes.
+std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 14695981039346656037ull;
-  for (char c : os.str()) {
+  for (char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
   }
@@ -43,6 +45,11 @@ std::uint64_t trace_hash(const sim::TraceRecorder& trace) {
 std::string fingerprint(const sim::Simulation& sim,
                         const sim::TraceRecorder& trace,
                         const std::string& decisions) {
+  // The compact dump pins the exact event sequence (ids, endpoints, tags,
+  // word counts, sender flags), one line per send/deliver/corrupt.
+  std::ostringstream dump;
+  trace.dump(dump);
+  const std::string events = dump.str();
   std::ostringstream os;
   os << "decisions=" << decisions << "\n";
   os << "correct_words=" << sim.metrics().correct_words() << "\n";
@@ -56,8 +63,9 @@ std::string fingerprint(const sim::Simulation& sim,
   for (const auto& [tag, words] : sim.metrics().words_by_tag())
     os << tag << ":" << words << ";";
   os << "\n";
-  os << "trace_events=" << trace.size() << "\n";
-  os << "trace_hash=" << trace_hash(trace) << "\n";
+  os << "trace_events=" << std::count(events.begin(), events.end(), '\n')
+     << "\n";
+  os << "trace_hash=" << fnv1a(events) << "\n";
   return os.str();
 }
 
@@ -163,6 +171,44 @@ TEST(GoldenDeterminism, BaWhpDupReplaySeed9) {
       "trace_events=12080\n"
       "trace_hash=9430220647100695956\n";
   EXPECT_EQ(fingerprint(sim, *trace, decisions), expected);
+}
+
+// Every JSONL record kind a lossy crash-recover run emits except dead
+// letters: sends and retransmissions, deliveries of fresh, duplicated and
+// replayed copies, drops, corruption, recovery, rounds and decides.
+TEST(GoldenDeterminism, JsonlBrachaLossyCrashRecoverSeed5) {
+  core::RunOptions o;
+  o.protocol = core::Protocol::kBracha;
+  o.n = 4;
+  o.seed = 5;
+  o.inputs.assign(4, ba::kOne);
+  o.crash_recover = 1;
+  o.recover_after = 40;
+  o.network.default_link.dup_p = 0.3;
+  o.network.default_link.max_duplicates = 2;
+  o.network.default_link.replay_p = 0.2;
+  o.network.default_link.replay_window = 8;
+  o.network.default_link.drop_p = 0.1;
+  o.reliable_channel = true;
+  auto trace = std::make_shared<sim::TraceRecorder>();
+  core::RunInstruments instruments;
+  instruments.observers.push_back(trace);
+  const core::RunReport report = core::run_agreement(o, instruments);
+  ASSERT_TRUE(report.all_correct_decided);
+
+  using Kind = sim::TraceRecorder::Rec::Kind;
+  std::map<Kind, std::size_t> kinds;
+  for (const auto& r : trace->records()) ++kinds[r.kind];
+  for (Kind k : {Kind::kSend, Kind::kDeliver, Kind::kDrop, Kind::kDuplicate,
+                 Kind::kReplay, Kind::kCorrupt, Kind::kRecover, Kind::kDecide,
+                 Kind::kRound})
+    EXPECT_GE(kinds[k], 1u) << "no record of kind " << static_cast<int>(k);
+
+  std::ostringstream jsonl;
+  trace->dump_jsonl(jsonl);
+  EXPECT_EQ(trace->records().size(), 8153u);
+  // Captured before the trace kept a single record stream.
+  EXPECT_EQ(fnv1a(jsonl.str()), 14000844492821139928ull);
 }
 
 }  // namespace

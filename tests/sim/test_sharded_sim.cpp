@@ -13,6 +13,7 @@
 // process takes its sampler from a private core::Env::lane().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -54,6 +55,7 @@ RunSurface surface_of(const sim::Simulation& sim,
   RunSurface out;
   std::ostringstream trace_dump;
   trace.dump(trace_dump);
+  const std::string events = trace_dump.str();
   std::ostringstream fp;
   fp << "decisions=" << decisions << "\n"
      << "correct_words=" << sim.metrics().correct_words() << "\n"
@@ -67,8 +69,9 @@ RunSurface surface_of(const sim::Simulation& sim,
   for (const auto& [tag, words] : sim.metrics().words_by_tag())
     fp << tag << ":" << words << ";";
   fp << "\n"
-     << "trace_events=" << trace.size() << "\n"
-     << "trace_hash=" << fnv1a(trace_dump.str()) << "\n";
+     << "trace_events=" << std::count(events.begin(), events.end(), '\n')
+     << "\n"
+     << "trace_hash=" << fnv1a(events) << "\n";
   out.fingerprint = fp.str();
   std::ostringstream jsonl;
   trace.dump_jsonl(jsonl);
@@ -208,6 +211,7 @@ RunSurface run_chaos(std::size_t shards, std::size_t threads) {
 void expect_invariant(const char* what,
                       RunSurface (*run)(std::size_t, std::size_t)) {
   const RunSurface ref = run(1, 1);
+  ASSERT_FALSE(ref.trace_jsonl.empty()) << what;
   EXPECT_NE(ref.decisions.find_first_of("01"), std::string::npos)
       << what << ": reference run decided nothing";
   for (std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {

@@ -1,7 +1,8 @@
-// Structured JSONL trace (ISSUE 4 tentpole + satellite): byte-identical
-// replays, the filter contract (tag_filter narrows message traffic ONLY
-// — fault and decision events always recorded), delivery provenance for
-// link duplicates/replays, and vector-clock sanity.
+// JSONL trace: byte-identical replays, the compact dump as a printer over
+// the one record stream, the filter contract (the tag filter narrows
+// message traffic ONLY — fault and decision events always recorded),
+// delivery provenance for link duplicates/replays, and the vector clocks
+// derived from the stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,7 +23,6 @@ using core::Protocol;
 using core::RunInstruments;
 using core::RunOptions;
 using core::RunReport;
-using sim::TraceOptions;
 using sim::TraceRecorder;
 using Rec = sim::TraceRecorder::Rec;
 using Prov = sim::TraceRecorder::Prov;
@@ -32,9 +32,10 @@ struct TracedRun {
   std::shared_ptr<TraceRecorder> trace;
 };
 
-TracedRun run_traced(const RunOptions& options, TraceOptions topts) {
+TracedRun run_traced(const RunOptions& options,
+                     std::string tag_filter = "") {
   TracedRun out;
-  out.trace = std::make_shared<TraceRecorder>(std::move(topts));
+  out.trace = std::make_shared<TraceRecorder>(std::move(tag_filter));
   RunInstruments instruments;
   instruments.observers.push_back(out.trace);
   out.report = core::run_agreement(options, instruments);
@@ -50,11 +51,15 @@ RunOptions small_bracha() {
   return options;
 }
 
+std::size_t count_lines(const std::string& s) {
+  std::size_t lines = 0;
+  for (char c : s) lines += c == '\n';
+  return lines;
+}
+
 TEST(TraceJsonl, ByteIdenticalAcrossReplays) {
-  TraceOptions topts;
-  topts.structured = true;
-  auto a = run_traced(small_bracha(), topts);
-  auto b = run_traced(small_bracha(), topts);
+  auto a = run_traced(small_bracha());
+  auto b = run_traced(small_bracha());
   ASSERT_TRUE(a.report.all_correct_decided);
 
   std::ostringstream ja, jb;
@@ -65,17 +70,50 @@ TEST(TraceJsonl, ByteIdenticalAcrossReplays) {
   EXPECT_FALSE(a.trace->records().empty());
 }
 
+// The records only JSONL prints (drops, duplicates, decides, rounds, ...)
+// leave the frozen compact dump alone: it has exactly one line per
+// send/deliver/corrupt record, in record order.
 TEST(TraceJsonl, StructuredModeDoesNotDisturbLegacyDump) {
-  TraceOptions structured;
-  structured.structured = true;
-  auto with = run_traced(small_bracha(), structured);
-  auto without = run_traced(small_bracha(), TraceOptions{});
+  RunOptions options = small_bracha();
+  options.junk = 1;
+  options.network.default_link.dup_p = 0.3;
+  options.network.default_link.max_duplicates = 2;
+  auto run = run_traced(options);
+  ASSERT_TRUE(run.report.all_correct_decided);
 
-  std::ostringstream da, db;
-  with.trace->dump(da);
-  without.trace->dump(db);
-  EXPECT_EQ(da.str(), db.str());  // golden-fingerprint format untouched
-  EXPECT_TRUE(without.trace->records().empty());
+  std::string expected;
+  std::size_t other = 0;
+  for (const Rec& r : run.trace->records()) {
+    switch (r.kind) {
+      case Rec::Kind::kSend:
+        expected += "S " + std::to_string(r.msg_id);
+        break;
+      case Rec::Kind::kDeliver:
+        expected += "D " + std::to_string(r.msg_id);
+        break;
+      case Rec::Kind::kCorrupt:
+        expected += "C " + std::to_string(r.from);
+        break;
+      default:
+        ++other;
+        continue;
+    }
+    expected += '\n';
+  }
+  EXPECT_GT(other, 0u);  // the stream holds more than the dump prints
+
+  std::ostringstream dump;
+  run.trace->dump(dump);
+  std::string heads;  // each dump line cut to its kind letter and id
+  std::istringstream lines(dump.str());
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::string kind, id;
+    fields >> kind >> id;
+    heads += kind + ' ' + id + '\n';
+  }
+  EXPECT_EQ(count_lines(dump.str()), count_lines(expected));
+  EXPECT_EQ(heads, expected);
 }
 
 // Satellite: a tag filter that matches no message traffic must still
@@ -89,10 +127,7 @@ TEST(TraceJsonl, TagFilterKeepsFaultAndDecisionEvents) {
   options.junk = 1;
   options.inputs.assign(5, ba::kOne);
 
-  TraceOptions topts;
-  topts.structured = true;
-  topts.tag_filter = "no-such-tag-anywhere";
-  auto run = run_traced(options, topts);
+  auto run = run_traced(options, "no-such-tag-anywhere");
   ASSERT_TRUE(run.report.all_correct_decided);
 
   std::map<Rec::Kind, std::size_t> kinds;
@@ -102,11 +137,11 @@ TEST(TraceJsonl, TagFilterKeepsFaultAndDecisionEvents) {
   ASSERT_GE(kinds[Rec::Kind::kCorrupt], 1u);  // the junk corruption
   EXPECT_GE(kinds[Rec::Kind::kDecide], 4u);   // every correct process
   EXPECT_GE(kinds[Rec::Kind::kRound], 1u);
-  // The legacy compact stream obeys the same contract.
-  bool legacy_corrupt = false;
-  for (const auto& e : run.trace->events())
-    legacy_corrupt |= e.kind == TraceRecorder::Event::Kind::kCorrupt;
-  EXPECT_TRUE(legacy_corrupt);
+  // The compact dump obeys the same contract: corruptions only.
+  std::ostringstream dump;
+  run.trace->dump(dump);
+  EXPECT_EQ(count_lines(dump.str()), kinds[Rec::Kind::kCorrupt]);
+  EXPECT_EQ(dump.str().rfind("C ", 0), 0u);
 }
 
 TEST(TraceJsonl, DeliveryProvenanceMarksDuplicatesAndReplays) {
@@ -119,16 +154,18 @@ TEST(TraceJsonl, DeliveryProvenanceMarksDuplicatesAndReplays) {
   options.network.default_link.replay_p = 0.2;
   options.network.default_link.replay_window = 8;
 
-  TraceOptions topts;
-  topts.structured = true;
-  auto run = run_traced(options, topts);
+  auto run = run_traced(options);
   ASSERT_TRUE(run.report.all_correct_decided);
   ASSERT_GT(run.report.counters[Counter::kLinkDuplicates], 0u);
   ASSERT_GT(run.report.counters[Counter::kLinkReplays], 0u);
 
+  const auto& recs = run.trace->records();
+  const auto vcs = run.trace->vector_clocks();
+  ASSERT_EQ(vcs.size(), recs.size());
   std::size_t dup_events = 0, replay_events = 0;
   std::size_t dup_delivers = 0, replay_delivers = 0, fresh_delivers = 0;
-  for (const Rec& r : run.trace->records()) {
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const Rec& r = recs[i];
     switch (r.kind) {
       case Rec::Kind::kDuplicate: ++dup_events; break;
       case Rec::Kind::kReplay: ++replay_events; break;
@@ -137,7 +174,7 @@ TEST(TraceJsonl, DeliveryProvenanceMarksDuplicatesAndReplays) {
         if (r.prov == Prov::kReplay) ++replay_delivers;
         if (r.prov == Prov::kFresh) ++fresh_delivers;
         // Every network copy resolves to its original send's clock.
-        EXPECT_FALSE(r.vc.empty());
+        EXPECT_FALSE(vcs[i].empty());
         break;
       default: break;
     }
@@ -152,9 +189,7 @@ TEST(TraceJsonl, DeliveryProvenanceMarksDuplicatesAndReplays) {
 }
 
 TEST(TraceJsonl, VectorClocksAreMonotoneAndContainSendSnapshots) {
-  TraceOptions topts;
-  topts.structured = true;
-  auto run = run_traced(small_bracha(), topts);
+  auto run = run_traced(small_bracha());
   ASSERT_TRUE(run.report.all_correct_decided);
 
   auto contains = [](const std::vector<std::uint64_t>& big,
@@ -170,22 +205,85 @@ TEST(TraceJsonl, VectorClocksAreMonotoneAndContainSendSnapshots) {
   std::map<std::uint64_t, std::vector<std::uint64_t>> send_vc;
   std::map<sim::ProcessId, std::vector<std::uint64_t>> last_deliver_vc;
   std::size_t delivers = 0;
-  for (const Rec& r : run.trace->records()) {
+  const auto& recs = run.trace->records();
+  const auto vcs = run.trace->vector_clocks();
+  ASSERT_EQ(vcs.size(), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const Rec& r = recs[i];
+    const auto& vc = vcs[i];
     if (r.kind == Rec::Kind::kSend) {
-      send_vc[r.send_seq] = r.vc;
+      send_vc[r.send_seq] = vc;
     } else if (r.kind == Rec::Kind::kDeliver) {
       ++delivers;
       auto it = send_vc.find(r.send_seq);
       ASSERT_NE(it, send_vc.end()) << "deliver without a recorded send";
       // The receiver's clock merged the send snapshot, then ticked.
-      EXPECT_TRUE(contains(r.vc, it->second));
+      EXPECT_TRUE(contains(vc, it->second));
       auto& prev = last_deliver_vc[r.to];
-      EXPECT_TRUE(contains(r.vc, prev))
+      EXPECT_TRUE(contains(vc, prev))
           << "receiver clock went backwards at process " << r.to;
-      prev = r.vc;
+      prev = vc;
     }
   }
   EXPECT_GT(delivers, 0u);
+}
+
+// Hand-fed hooks: p0 -> p1 -> p2 with a link duplicate of the second
+// hop, a decide at the end of the chain, and a drop of a send the
+// stream never saw. The derived clocks order the chain (happens-before)
+// and leave the concurrent round and the orphan drop unstamped.
+TEST(TraceJsonl, DerivedClocksReplayAHandFedChain) {
+  TraceRecorder trace;
+  sim::Message m1;
+  m1.id = 1;
+  m1.send_seq = 1;
+  m1.from = 0;
+  m1.to = 1;
+  m1.tag = "hop";
+  sim::Message m2 = m1;
+  m2.id = 2;
+  m2.send_seq = 2;
+  m2.from = 1;
+  m2.to = 2;
+  sim::Message copy = m2;
+  copy.id = 3;  // a link duplicate: fresh id, same send_seq
+  sim::Message orphan = m1;
+  orphan.id = 9;
+  orphan.send_seq = 99;
+
+  trace.on_send(m1, true);
+  trace.on_deliver(m1);
+  trace.on_send(m2, true);
+  trace.on_round(0, 1);
+  trace.on_link_duplicate(copy);
+  trace.on_deliver(copy);
+  sim::DecideEvent decide;
+  decide.who = 2;
+  decide.scope = "hop";
+  trace.on_decide(decide);
+  trace.on_link_drop(orphan);
+
+  using Clock = std::vector<std::uint64_t>;
+  const std::vector<Clock> expected = {
+      {1},        // p0 sends m1
+      {1, 1},     // p1 merges m1's snapshot, ticks
+      {1, 2},     // p1 sends m2
+      {},         // round: no clock
+      {1, 2},     // the duplicate carries m2's send snapshot
+      {1, 2, 1},  // p2 delivers the copy
+      {1, 2, 1},  // p2 decides with its current clock
+      {},         // drop of a send outside the stream
+  };
+  EXPECT_EQ(trace.vector_clocks(), expected);
+  EXPECT_EQ(trace.records()[5].prov, Prov::kDuplicate);
+
+  std::ostringstream jsonl;
+  trace.dump_jsonl(jsonl);
+  EXPECT_EQ(count_lines(jsonl.str()), expected.size());
+  EXPECT_NE(jsonl.str().find("\"ev\":\"decide\",\"who\":2,\"scope\":\"hop\""
+                             ",\"value\":0,\"round\":0,\"depth\":0,"
+                             "\"correct\":true,\"vc\":[1,2,1]}"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 //                [--epsilon 0.25 --d 0.02] [--max-rounds 64]
 //                [--top 10] [--samples 1] [--threads 0]
 //                [--shards 0 --sim-threads 0]
+//                [--tag-filter SUBSTR]
 //                [--trace PATH] [--json PATH] [--prom PATH]   ("-" = stdout)
 //
 // Every run is a pure function of (config, seed), so this tool replays
@@ -17,8 +18,8 @@
 //   * per-phase word breakdown — partitions the paper's word-complexity
 //     measure exactly (the totals line cross-checks the sum);
 //   * top-k hot tags by correct-sender words;
-//   * the critical path reconstructed from the structured trace's
-//     vector clocks — the longest causal message chain, i.e. the
+//   * the critical path reconstructed from the trace's derived vector
+//     clocks — the longest causal message chain, i.e. the
 //     paper's duration metric made concrete;
 //   * rounds-to-decide, against the paper's per-round success-rate
 //     lower bound when the protocol has one (Lemma 4.8 / B.7);
@@ -75,15 +76,16 @@ struct Hop {
   std::uint64_t depth = 0;
 };
 
-/// Reconstructs the longest causal message chain from the structured
-/// trace: start at the deepest deliver event, then repeatedly step to
-/// the delivery that set the sender's causal depth just before it sent.
-/// Vector clocks guard the chain: a predecessor must be causally
+/// Reconstructs the longest causal message chain from the trace: start
+/// at the deepest deliver event, then repeatedly step to the delivery
+/// that set the sender's causal depth just before it sent. The trace's
+/// derived vector clocks guard the chain: a predecessor must be causally
 /// contained in the hop's send snapshot. Self-deliveries are internal
 /// (no deliver event), so the chain may stop early at a process whose
 /// depth came from its own queue.
-std::vector<Hop> critical_path(const std::vector<sim::TraceRecorder::Rec>& recs) {
+std::vector<Hop> critical_path(const sim::TraceRecorder& trace) {
   using Rec = sim::TraceRecorder::Rec;
+  const std::vector<Rec>& recs = trace.records();
   std::map<std::uint64_t, std::size_t> send_at;  // send_seq -> record idx
   // Chronological deliver-record indices per process.
   std::map<sim::ProcessId, std::vector<std::size_t>> delivers_at;
@@ -104,6 +106,7 @@ std::vector<Hop> critical_path(const std::vector<sim::TraceRecorder::Rec>& recs)
 
   std::vector<Hop> chain;
   if (deepest == recs.size()) return chain;
+  const auto vcs = trace.vector_clocks();
 
   std::size_t cur = deepest;
   while (true) {
@@ -121,9 +124,11 @@ std::vector<Hop> critical_path(const std::vector<sim::TraceRecorder::Rec>& recs)
       if (idx >= sent->second) break;
       const Rec& c = recs[idx];
       if (c.depth != s.depth - 1) continue;
-      bool contained = c.vc.size() <= s.vc.size();
-      for (std::size_t i = 0; contained && i < c.vc.size(); ++i)
-        contained = c.vc[i] <= s.vc[i];
+      const auto& cvc = vcs[idx];
+      const auto& svc = vcs[sent->second];
+      bool contained = cvc.size() <= svc.size();
+      for (std::size_t i = 0; contained && i < cvc.size(); ++i)
+        contained = cvc[i] <= svc[i];
       if (contained) prev = idx;
     }
     if (prev == recs.size()) break;
@@ -208,10 +213,8 @@ int main(int argc, char** argv) {
   const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
 
   // --- The instrumented replay of (config, seed). ---------------------
-  sim::TraceOptions topts;
-  topts.structured = true;
-  topts.tag_filter = args.get("tag-filter", "");
-  auto trace = std::make_shared<sim::TraceRecorder>(topts);
+  auto trace =
+      std::make_shared<sim::TraceRecorder>(args.get("tag-filter", ""));
 
   std::map<std::string, sim::Metrics::PhaseDetail> phases;
   std::map<std::string, sim::Metrics::TagDetail> tags;
@@ -358,8 +361,8 @@ int main(int argc, char** argv) {
     std::cout << "  " << words << "\t" << tag << '\n';
   std::cout << '\n';
 
-  // --- Critical path from the structured trace. -----------------------
-  print_critical_path(std::cout, critical_path(trace->records()));
+  // --- Critical path from the trace. ----------------------------------
+  print_critical_path(std::cout, critical_path(*trace));
   std::cout << '\n';
 
   // --- Rounds to decide vs the paper's success-rate bound. ------------
