@@ -5,47 +5,58 @@
 namespace coincidence::sim {
 
 void PendingPool::push(Message msg, std::uint64_t tick) {
-  std::uint64_t id = msg.id;
-  index_of_[id] = msgs_.size();
+  const Entry e{tick, msg.id, msgs_.size()};
+  std::size_t p = ring_.size();
+  ring_.push_back(e);
+  while (p > head_ && (ring_[p - 1].tick > tick ||
+                       (ring_[p - 1].tick == tick && ring_[p - 1].id > e.id))) {
+    ring_[p] = ring_[p - 1];
+    if (ring_[p].idx != kDead) pos_[ring_[p].idx] = p;
+    --p;
+  }
+  ring_[p] = e;
+  pos_.push_back(p);
   msgs_.push_back(std::move(msg));
-  ticks_.push_back(tick);
-  // Stale heap entries (taken messages skipped lazily by oldest_index)
-  // would otherwise accumulate across a long run; rebuild from the live
-  // set once they dominate. Ticks are monotone, so the rebuilt heap
-  // orders identically to the lazily-cleaned one.
-  if (oldest_heap_.size() > 2 * (msgs_.size() + 8)) compact_heap();
-  oldest_heap_.push({tick, id});
 }
 
-void PendingPool::compact_heap() const {
-  std::vector<HeapEntry> live;
-  live.reserve(msgs_.size());
-  for (std::size_t i = 0; i < msgs_.size(); ++i)
-    live.push_back({ticks_[i], msgs_[i].id});
-  oldest_heap_ = Heap(std::greater<HeapEntry>(), std::move(live));
+void PendingPool::compact() {
+  std::size_t w = 0;
+  for (std::size_t r = head_; r < ring_.size(); ++r) {
+    if (ring_[r].idx == kDead) continue;
+    pos_[ring_[r].idx] = w;
+    ring_[w++] = ring_[r];
+  }
+  ring_.resize(w);
+  head_ = 0;
 }
 
 std::size_t PendingPool::oldest_index() const {
   COIN_REQUIRE(!msgs_.empty(), "oldest_index on empty pool");
-  for (;;) {
-    const HeapEntry& top = oldest_heap_.top();
-    const std::size_t* idx = index_of_.find(top.second);
-    if (idx != nullptr) return *idx;
-    oldest_heap_.pop();  // stale entry for an already-taken message
-  }
+  return ring_[head_].idx;
 }
 
 Message PendingPool::take(std::size_t i) {
   COIN_REQUIRE(i < msgs_.size(), "take: bad index");
+  ring_[pos_[i]].idx = kDead;
   Message out = std::move(msgs_[i]);
-  index_of_.erase(out.id);
-  if (i + 1 != msgs_.size()) {
-    msgs_[i] = std::move(msgs_.back());
-    ticks_[i] = ticks_.back();
-    index_of_[msgs_[i].id] = i;
+  const std::size_t last = msgs_.size() - 1;
+  if (i != last) {
+    msgs_[i] = std::move(msgs_[last]);
+    pos_[i] = pos_[last];
+    ring_[pos_[i]].idx = i;
   }
   msgs_.pop_back();
-  ticks_.pop_back();
+  pos_.pop_back();
+  while (head_ < ring_.size() && ring_[head_].idx == kDead) ++head_;
+  if (head_ == ring_.size()) {
+    ring_.clear();
+    head_ = 0;
+  } else if (ring_.size() > 2 * (msgs_.size() + 8)) {
+    // Dead entries (the consumed front included) outnumber live ones: a
+    // long-lived message near the front would otherwise pin every later
+    // dead entry behind it.
+    compact();
+  }
   return out;
 }
 

@@ -1,24 +1,25 @@
 // The in-flight message pool.
 //
 // Requirements: O(1) random access for the adversary, O(1) removal, O(1)
-// amortized oldest-message lookup for the fairness bound, and a metadata-
-// only read surface — adversaries can see every field of a pending
-// message *except its payload*, which is exactly the delayed-adaptive
-// visibility rule (payload access is reserved to the Simulation via
-// take()).
+// oldest-message lookup for the fairness bound, and a metadata-only read
+// surface — adversaries can see every field of a pending message *except
+// its payload*, which is exactly the delayed-adaptive visibility rule
+// (payload access is reserved to the Simulation via take()).
 //
-// Hot-path containers (ISSUE 3): the id->index map is a flat hash (no
-// per-push node allocation) and the lazily-cleaned oldest-message heap
-// is compacted once stale entries outnumber live ones, so the pool's
-// memory stays proportional to what is actually in flight.
+// Layout: the messages live in a dense vector (swap-remove), and beside it
+// an ordered ring of (enqueue tick, id) entries sorted by that pair. Each
+// ring entry points at its message's index and each message records its
+// ring position, so take() marks the entry dead and fixes the one
+// back-pointer that swap-remove moves. Dead entries are popped off the
+// front, so the front is always the oldest live message; once dead entries
+// outnumber live ones the ring is compacted, so its memory stays
+// proportional to what is actually in flight. No hashing, no heap.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
-#include "sim/flat_map64.h"
 #include "sim/message.h"
 
 namespace coincidence::sim {
@@ -35,44 +36,46 @@ class PendingPool {
   TagId tag_id(std::size_t i) const { return msgs_[i].tag.id(); }
   std::size_t words(std::size_t i) const { return msgs_[i].words; }
   std::uint64_t send_seq(std::size_t i) const { return msgs_[i].send_seq; }
-  std::uint64_t enqueue_tick(std::size_t i) const { return ticks_[i]; }
-
-  /// Index of the message enqueued earliest among those still pending.
-  /// Amortized O(1) via a lazily-cleaned min-heap. Pool must be non-empty.
-  std::size_t oldest_index() const;
-
-  /// Lower bound on the oldest pending message's enqueue tick: the heap
-  /// top's tick, stale entries included (a stale tick is never larger
-  /// than the live minimum, since ticks only grow). Lets the scheduler
-  /// skip the precise oldest_index() resolution — and its stale-entry
-  /// pops — whenever even this bound cannot trip the fairness check.
-  /// O(1), no cleanup. Pool must be non-empty.
-  std::uint64_t oldest_tick_lower_bound() const {
-    return oldest_heap_.top().first;
+  std::uint64_t enqueue_tick(std::size_t i) const {
+    return ring_[pos_[i]].tick;
   }
 
+  /// Index of the pending message with the least (enqueue tick, id). O(1).
+  /// Pool must be non-empty.
+  std::size_t oldest_index() const;
+
+  /// Enqueues `msg` at `tick`. Ticks need not arrive in order, nor ids
+  /// within one tick (link duplicates take fresh ids and are routed before
+  /// their original): the entry is inserted from the back of the ring
+  /// until the (tick, id) order holds, which is an append in the common
+  /// case.
   void push(Message msg, std::uint64_t tick);
 
   /// Removes and returns the message at `i` (swap-remove; indices of other
   /// messages may change).
   Message take(std::size_t i);
 
-  /// Heap entries including stale ones — whitebox view for the compaction
+  /// Ring entries including dead ones — whitebox view for the compaction
   /// regression test.
-  std::size_t heap_size() const { return oldest_heap_.size(); }
+  std::size_t ring_size() const { return ring_.size(); }
 
  private:
-  void compact_heap() const;
+  static constexpr std::size_t kDead = ~std::size_t{0};
+
+  struct Entry {
+    std::uint64_t tick;
+    std::uint64_t id;
+    std::size_t idx;  // index into msgs_, or kDead once taken
+  };
+
+  void compact();
 
   std::vector<Message> msgs_;
-  std::vector<std::uint64_t> ticks_;
-  mutable FlatMap64<std::size_t> index_of_;  // id -> idx
-  // min-heap of (tick, id); stale ids skipped lazily, bulk-evicted by
-  // compact_heap() once they outnumber the live messages.
-  using HeapEntry = std::pair<std::uint64_t, std::uint64_t>;
-  using Heap = std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                                   std::greater<HeapEntry>>;
-  mutable Heap oldest_heap_;
+  std::vector<std::size_t> pos_;  // msgs_ index -> ring_ position
+  // Sorted by (tick, id), dead entries included; ring_[head_] is live
+  // whenever the pool is non-empty.
+  std::vector<Entry> ring_;
+  std::size_t head_ = 0;
 };
 
 }  // namespace coincidence::sim

@@ -786,21 +786,11 @@ bool Simulation::step() {
   apply_corruptions();
 
   // Fairness override: the oldest message must go through once bypassed
-  // fairness_bound times; otherwise the adversary chooses freely. The
-  // cheap tick lower bound screens out the common case — if even the
-  // stalest heap entry is too young, the precise (stale-popping) oldest
-  // lookup cannot trigger either, so it is skipped entirely.
-  std::size_t chosen = static_cast<std::size_t>(-1);
-  bool forced_by_fairness = false;
-  if (deliveries_ - pending_.oldest_tick_lower_bound() >=
-      cfg_.fairness_bound) {
-    std::size_t oldest = pending_.oldest_index();
-    if (deliveries_ - pending_.enqueue_tick(oldest) >= cfg_.fairness_bound) {
-      chosen = oldest;
-      forced_by_fairness = true;
-    }
-  }
-  if (chosen == static_cast<std::size_t>(-1)) {
+  // fairness_bound times; otherwise the adversary chooses freely.
+  std::size_t chosen = pending_.oldest_index();
+  const bool forced_by_fairness =
+      deliveries_ - pending_.enqueue_tick(chosen) >= cfg_.fairness_bound;
+  if (!forced_by_fairness) {
     chosen = adversary_->schedule(pending_, rng_);
     COIN_REQUIRE(chosen < pending_.size(), "adversary chose bad index");
   }

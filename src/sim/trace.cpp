@@ -174,55 +174,92 @@ void TraceRecorder::on_round(ProcessId who, std::uint64_t round) {
   records_.push_back(std::move(rec));
 }
 
-std::vector<std::vector<std::uint64_t>> TraceRecorder::vector_clocks()
-    const {
-  std::vector<std::vector<std::uint64_t>> stamps(records_.size());
-  std::vector<std::vector<std::uint64_t>> clocks;  // index = ProcessId
-  auto clock_of = [&clocks](ProcessId id) -> std::vector<std::uint64_t>& {
+namespace {
+
+bool is_message_kind(TraceRecorder::Rec::Kind kind) {
+  using Kind = TraceRecorder::Rec::Kind;
+  return kind == Kind::kSend || kind == Kind::kDeliver ||
+         kind == Kind::kDrop || kind == Kind::kDuplicate ||
+         kind == Kind::kReplay;
+}
+
+/// Replays `recs` in order and calls visit(i, clock) with every record's
+/// vector-clock timestamp (empty when it has none). Live state is one
+/// clock per process plus the snapshots of sends that a later record
+/// still reads: each snapshot is freed at the last message record that
+/// carries its send_seq.
+template <typename Visit>
+void replay_clocks(const std::vector<TraceRecorder::Rec>& recs,
+                   Visit&& visit) {
+  using Kind = TraceRecorder::Rec::Kind;
+  using Clock = std::vector<std::uint64_t>;
+  // send_seq -> index of the last record that reads its snapshot.
+  FlatMap64<std::size_t> last_read;
+  for (std::size_t i = 0; i < recs.size(); ++i)
+    if (is_message_kind(recs[i].kind))
+      last_read.insert_or_assign(recs[i].send_seq, i);
+
+  std::vector<Clock> clocks;  // index = ProcessId
+  auto clock_of = [&clocks](ProcessId id) -> Clock& {
     if (id >= clocks.size()) clocks.resize(id + 1);
     auto& clock = clocks[id];
     if (clock.size() <= id) clock.resize(id + 1, 0);
     return clock;
   };
-  // send_seq -> index of the latest send record with it. Link duplicates
-  // and replays get fresh msg ids but keep their send's send_seq, so a
-  // stale copy still resolves to its causal timestamp.
-  FlatMap64<std::size_t> send_at;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const Rec& r = records_[i];
+  // send_seq -> snapshot of the latest send record with it. Link
+  // duplicates and replays get fresh msg ids but keep their send's
+  // send_seq, so a stale copy still resolves to its causal timestamp.
+  FlatMap64<Clock> snaps;
+  const Clock none;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const TraceRecorder::Rec& r = recs[i];
+    const Clock* stamp = &none;
     switch (r.kind) {
-      case Rec::Kind::kSend: {
+      case Kind::kSend: {
         auto& clock = clock_of(r.from);
         ++clock[r.from];
-        stamps[i] = clock;
-        send_at.insert_or_assign(r.send_seq, i);
+        Clock& snap = snaps[r.send_seq];
+        snap = clock;
+        stamp = &snap;
         break;
       }
-      case Rec::Kind::kDeliver: {
+      case Kind::kDeliver: {
         auto& clock = clock_of(r.to);
-        if (const std::size_t* sent = send_at.find(r.send_seq)) {
-          const auto& snap = stamps[*sent];
-          if (clock.size() < snap.size()) clock.resize(snap.size(), 0);
-          for (std::size_t k = 0; k < snap.size(); ++k)
-            clock[k] = std::max(clock[k], snap[k]);
+        if (const Clock* snap = snaps.find(r.send_seq)) {
+          if (clock.size() < snap->size()) clock.resize(snap->size(), 0);
+          for (std::size_t k = 0; k < snap->size(); ++k)
+            clock[k] = std::max(clock[k], (*snap)[k]);
         }
         ++clock[r.to];
-        stamps[i] = clock;
+        stamp = &clock;
         break;
       }
-      case Rec::Kind::kDrop:
-      case Rec::Kind::kDuplicate:
-      case Rec::Kind::kReplay:
-        if (const std::size_t* sent = send_at.find(r.send_seq))
-          stamps[i] = stamps[*sent];
+      case Kind::kDrop:
+      case Kind::kDuplicate:
+      case Kind::kReplay:
+        if (const Clock* snap = snaps.find(r.send_seq)) stamp = snap;
         break;
-      case Rec::Kind::kDecide:
-        stamps[i] = clock_of(r.from);
+      case Kind::kDecide:
+        stamp = &clock_of(r.from);
         break;
       default:
         break;
     }
+    visit(i, *stamp);
+    if (is_message_kind(r.kind) && *last_read.find(r.send_seq) == i)
+      snaps.erase(r.send_seq);
   }
+}
+
+}  // namespace
+
+std::vector<std::vector<std::uint64_t>> TraceRecorder::vector_clocks()
+    const {
+  std::vector<std::vector<std::uint64_t>> stamps(records_.size());
+  replay_clocks(records_,
+                [&stamps](std::size_t i, const std::vector<std::uint64_t>& vc) {
+                  stamps[i] = vc;
+                });
   return stamps;
 }
 
@@ -247,10 +284,9 @@ void TraceRecorder::dump(std::ostream& os) const {
 }
 
 void TraceRecorder::dump_jsonl(std::ostream& os) const {
-  const auto stamps = vector_clocks();
-  for (std::size_t seq = 0; seq < records_.size(); ++seq) {
+  replay_clocks(records_, [&](std::size_t seq,
+                              const std::vector<std::uint64_t>& vc) {
     const Rec& r = records_[seq];
-    const auto& vc = stamps[seq];
     os << "{\"seq\":" << seq << ",\"ev\":\"" << rec_kind_name(r.kind)
        << '"';
     switch (r.kind) {
@@ -298,7 +334,7 @@ void TraceRecorder::dump_jsonl(std::ostream& os) const {
       os << ']';
     }
     os << "}\n";
-  }
+  });
 }
 
 }  // namespace coincidence::sim

@@ -9,8 +9,10 @@
 //    golden fingerprint tests hash its bytes.
 //
 //  * dump_jsonl(): one JSON object per record, each message record
-//    stamped with its causal depth and the vector-clock timestamp that
-//    vector_clocks() derives by replaying the stream. Deliveries carry
+//    stamped with its causal depth and its vector-clock timestamp,
+//    derived by replaying the stream as it prints (one clock per
+//    process, plus the send snapshots later records still read; no
+//    per-record clock is kept). Deliveries carry
 //    provenance: whether the delivered copy was the fresh send, a
 //    retransmission, a link duplicate, or a stale replay. Tags are
 //    resolved to strings (TagIds never appear in output), so the JSONL
@@ -93,7 +95,9 @@ class TraceRecorder final : public Observer {
   /// snapshot of their send (matched by send_seq, which link copies
   /// share); a decide carries the decider's clock. Other records, and
   /// copies of sends outside the stream, get an empty clock. Clocks grow
-  /// on demand (index = ProcessId); absent components are zero.
+  /// on demand (index = ProcessId); absent components are zero. Holds
+  /// every record's clock at once: dump_jsonl() streams the same replay
+  /// instead.
   std::vector<std::vector<std::uint64_t>> vector_clocks() const;
 
   /// Compact dump — format frozen (golden fingerprints hash it). One

@@ -45,7 +45,7 @@ TEST(FlatMap64, EraseReleasesValueAndTombstoneIsReusable) {
   EXPECT_EQ(m.size(), 1u);
 }
 
-// The PendingPool id->index map does exactly this: monotonically
+// An id-keyed index of in-flight items does exactly this: monotonically
 // increasing u64 keys, with every key erased shortly after insertion.
 // Tombstones must be reclaimed (not accumulate until probes degrade or
 // rehash thrashes) and lookups must stay exact throughout.

@@ -18,8 +18,8 @@
 //   * per-phase word breakdown — partitions the paper's word-complexity
 //     measure exactly (the totals line cross-checks the sum);
 //   * top-k hot tags by correct-sender words;
-//   * the critical path reconstructed from the trace's derived vector
-//     clocks — the longest causal message chain, i.e. the
+//   * the critical path reconstructed from the trace's send and
+//     deliver records — the longest causal message chain, i.e. the
 //     paper's duration metric made concrete;
 //   * rounds-to-decide, against the paper's per-round success-rate
 //     lower bound when the protocol has one (Lemma 4.8 / B.7);
@@ -78,9 +78,10 @@ struct Hop {
 
 /// Reconstructs the longest causal message chain from the trace: start
 /// at the deepest deliver event, then repeatedly step to the delivery
-/// that set the sender's causal depth just before it sent. The trace's
-/// derived vector clocks guard the chain: a predecessor must be causally
-/// contained in the hop's send snapshot. Self-deliveries are internal
+/// that set the sender's causal depth just before it sent. That delivery
+/// and the send happen at the same process in that order, so it is in the
+/// send's causal past by program order alone and no vector clock is
+/// needed to confirm the hop. Self-deliveries are internal
 /// (no deliver event), so the chain may stop early at a process whose
 /// depth came from its own queue.
 std::vector<Hop> critical_path(const sim::TraceRecorder& trace) {
@@ -106,7 +107,6 @@ std::vector<Hop> critical_path(const sim::TraceRecorder& trace) {
 
   std::vector<Hop> chain;
   if (deepest == recs.size()) return chain;
-  const auto vcs = trace.vector_clocks();
 
   std::size_t cur = deepest;
   while (true) {
@@ -117,19 +117,11 @@ std::vector<Hop> critical_path(const sim::TraceRecorder& trace) {
     const Rec& s = recs[sent->second];
     if (s.depth <= 1) break;  // the sender started this chain
     // The delivery that raised the sender to depth s.depth - 1, latest
-    // before the send, causally contained in the send's clock.
-    const auto& cands = delivers_at[s.from];
+    // before the send.
     std::size_t prev = recs.size();
-    for (std::size_t idx : cands) {
+    for (std::size_t idx : delivers_at[s.from]) {
       if (idx >= sent->second) break;
-      const Rec& c = recs[idx];
-      if (c.depth != s.depth - 1) continue;
-      const auto& cvc = vcs[idx];
-      const auto& svc = vcs[sent->second];
-      bool contained = cvc.size() <= svc.size();
-      for (std::size_t i = 0; contained && i < cvc.size(); ++i)
-        contained = cvc[i] <= svc[i];
-      if (contained) prev = idx;
+      if (recs[idx].depth == s.depth - 1) prev = idx;
     }
     if (prev == recs.size()) break;
     cur = prev;
